@@ -15,16 +15,15 @@ The package provides three layers:
 """
 
 from . import bounds
-from .direct import ndft_direct, nndft_direct, sinc_transform_direct
+from .direct import (cc_weights_direct, ndft_direct, nndft_direct,
+                     sinc_transform_direct)
 from .errors import ParameterError, PositivityError
 from .fast_sinc import SincMode, SincPlan, fast_sinc_transform, sinc_plan
 from .nfft import NfftPlan, nfft_adjoint, nfft_plan, nfft_trafo
 from .nnfft import (NnfftGeometry, NnfftPlan, nnfft_plan, nnfft_trafo,
                     rescale_frequencies)
 from .sinc_approx import (CcQuadrature, cc_export_csv, cc_quadrature,
-                          cc_weights_direct, cc_weights_fast,
-                          sinc_expsum_eval, sinc_expsum_eval_grid,
-                          sinc_expsum_max_error)
+                          sinc_expsum_eval_grid, sinc_expsum_max_error)
 from .windows import (WindowSpec, omega_eval, omega_hat_eval, phi_eval,
                       phi_hat_eval, window_kinds)
 
@@ -35,12 +34,12 @@ __all__ = [
     "WindowSpec", "window_kinds", "omega_eval", "omega_hat_eval",
     "phi_eval", "phi_hat_eval",
     "ndft_direct", "nndft_direct", "sinc_transform_direct",
+    "cc_weights_direct",
     "NfftPlan", "nfft_plan", "nfft_trafo", "nfft_adjoint",
     "NnfftGeometry", "NnfftPlan", "nnfft_plan", "nnfft_trafo",
     "rescale_frequencies",
-    "CcQuadrature", "cc_quadrature", "cc_weights_direct", "cc_weights_fast",
-    "cc_export_csv", "sinc_expsum_eval", "sinc_expsum_eval_grid",
-    "sinc_expsum_max_error",
+    "CcQuadrature", "cc_quadrature", "cc_export_csv",
+    "sinc_expsum_eval_grid", "sinc_expsum_max_error",
     "SincMode", "SincPlan", "sinc_plan", "fast_sinc_transform",
     "bounds",
     "__version__",

@@ -130,9 +130,8 @@ def bound_cc_sinc(N, nu):
 def choose_n(N, epsilon, shape="pow2"):
     """Smallest surrogate size ``n`` whose bound beats ``epsilon``.
 
-    ``shape="pow2"`` searches ``n = 2^t`` (t >= 2, enabling the DCT-I
-    weight path); ``shape="multiple"`` searches integer multiples
-    ``n = nu N``.
+    ``shape="pow2"`` searches ``n = 2^t`` (t >= 2), ``shape="multiple"``
+    integer multiples ``n = nu N``; either way the weights cost one DCT-I.
     """
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ParameterError("choose_n: N must be a positive integer")

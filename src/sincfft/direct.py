@@ -110,3 +110,29 @@ def sinc_transform_direct(c, a, b, N, compensated=False):
         kern = sinc(np.pi * N * (bb[:, None] - a[None, :]))
         out[lo:lo + bb.size] = (kern * c).sum(axis=1)
     return out
+
+
+def cc_weights_direct(n):
+    """Clenshaw-Curtis weights by the explicit cosine sum, any ``n >= 2``.
+
+    ``w_k = (e_k / n) sum_j e_{2j} 2/(1 - 4 j^2) cos(2 j k pi / n)`` over
+    ``0 <= 2j <= n``, with ``e = 1/2`` at the indices ``0`` and ``n`` and 1
+    otherwise.  The phase ``2 j k pi / n`` is reduced modulo ``2 pi`` in
+    exact integer arithmetic before the cosine is taken, which keeps the
+    sum accurate for large ``n``.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ParameterError("cc_weights_direct: n must be an integer >= 2")
+
+    def halved_ends(idx):
+        return np.where((idx == 0) | (idx == n), 0.5, 1.0)
+
+    j = np.arange(n // 2 + 1)
+    k = np.arange(n + 1)
+    coef = halved_ends(2 * j) * (2.0 / (1.0 - 4.0 * j * j))
+    out = np.empty(n + 1)
+    for lo in range(0, n + 1, _CHUNK):
+        kb = k[lo:lo + _CHUNK]
+        phase = (2 * np.outer(j, kb)) % (2 * n)
+        out[lo:lo + kb.size] = coef @ np.cos((np.pi / n) * phase)
+    return (halved_ends(k) / n) * out

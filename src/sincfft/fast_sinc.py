@@ -115,6 +115,13 @@ def _is_even_grid(nodes, L, scale):
     return bool(np.max(np.abs(nodes - grid)) <= _GRID_TOL)
 
 
+def _nfft_admissible(L, sigma, m):
+    # the conditions nfft_plan(L, ..., sigma=sigma, m=m) puts on its grid
+    n_over = int(round(sigma * L))
+    return (abs(sigma * L - n_over) <= 1e-9 and n_over % 2 == 0
+            and 2 * m <= n_over // 2)
+
+
 def _wrap_half(t):
     # map to the half-open period [-1/2, 1/2)
     return np.mod(t + 0.5, 1.0) - 0.5
@@ -130,9 +137,9 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
     N : int
         Bandwidth of the sinc kernel.
     a : array, shape (L1,)
-        Source nodes in ``[-1/2, 1/2]``; ``L1`` must be even.
+        Source nodes in ``[-1/2, 1/2]``.
     b : array, shape (L2,)
-        Target nodes in ``[-1/2, 1/2]``; ``L2`` must be even.
+        Target nodes in ``[-1/2, 1/2]``.
     n : int, optional
         Surrogate size (default ``4 N``).  Mutually exclusive with
         ``epsilon``.
@@ -143,8 +150,9 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
         Parameters of the inner gridding stages.
     mode : SincMode or str, optional
         Force a stage layout instead of auto-detecting equispaced node
-        sets.  Forcing an equispaced mode on nodes that are not on the
-        grid is rejected.
+        sets.  Auto-detection picks an equispaced layout only where the
+        grid stage's NFFT is admissible.  Forcing an equispaced mode on
+        nodes that are not on the even grid (of even length) is rejected.
     """
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ParameterError("sinc_plan: N must be a positive integer")
@@ -153,9 +161,7 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
     for name, arr in (("a", a), ("b", b)):
         if arr.ndim != 1 or arr.size == 0:
             raise ParameterError(f"sinc_plan: {name} must be a nonempty 1-d array")
-        if arr.size % 2:
-            raise ParameterError(f"sinc_plan: len({name}) must be even")
-        if np.max(np.abs(arr)) > 0.5 + _GRID_TOL:
+        if not np.all(np.abs(arr) <= 0.5 + _GRID_TOL):
             raise ParameterError(f"sinc_plan: {name} must lie in [-1/2, 1/2]")
     a = np.clip(a, -0.5, 0.5)
     b = np.clip(b, -0.5, 0.5)
@@ -174,12 +180,13 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
 
     sources_grid = _is_even_grid(a, a.size, a.size)
     targets_grid = (b.size == N) and (N % 2 == 0) and _is_even_grid(b, int(N), int(N))
-    auto = (SincMode.EQUISPACED_BOTH if sources_grid and targets_grid
-            else SincMode.EQUISPACED_SOURCES if sources_grid
-            else SincMode.EQUISPACED_TARGETS if targets_grid
-            else SincMode.GENERAL)
     if mode is None:
-        mode = auto
+        auto_sources = sources_grid and _nfft_admissible(a.size, sigma1, m1)
+        auto_targets = targets_grid and _nfft_admissible(int(N), sigma1, m1)
+        mode = (SincMode.EQUISPACED_BOTH if auto_sources and auto_targets
+                else SincMode.EQUISPACED_SOURCES if auto_sources
+                else SincMode.EQUISPACED_TARGETS if auto_targets
+                else SincMode.GENERAL)
     else:
         mode = SincMode(mode.value if isinstance(mode, SincMode) else mode)
         need_sources = mode in (SincMode.EQUISPACED_SOURCES, SincMode.EQUISPACED_BOTH)

@@ -70,7 +70,7 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     x = np.ascontiguousarray(nodes, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ParameterError("nfft_plan: nodes must be a nonempty 1-d array")
-    if np.max(np.abs(x)) > 0.5 + _DOMAIN_TOL:
+    if not np.all(np.abs(x) <= 0.5 + _DOMAIN_TOL):
         raise ParameterError("nfft_plan: nodes must lie in [-1/2, 1/2]")
     x = np.clip(x, -0.5, 0.5)
 

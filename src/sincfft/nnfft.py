@@ -122,7 +122,7 @@ def rescale_frequencies(N, v, sigma1, m1):
     if not isinstance(m1, (int, np.integer)) or m1 < 2:
         raise ParameterError("rescale_frequencies: m1 must be an integer >= 2")
     arr = np.asarray(v, dtype=float)
-    if arr.size and np.max(np.abs(arr)) > 0.5 + _DOMAIN_TOL:
+    if not np.all(np.abs(arr) <= 0.5 + _DOMAIN_TOL):
         raise ParameterError("rescale_frequencies: frequencies must lie in [-1/2, 1/2]")
     n_star = int(N) + math.ceil(2 * m1 / sigma1)
     return n_star, arr * (N / n_star)
@@ -160,12 +160,12 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
                                         int(m1), int(m2))
 
     vmax = 0.5 / geo.a
-    if np.max(np.abs(v)) > vmax + _DOMAIN_TOL:
+    if not np.all(np.abs(v) <= vmax + _DOMAIN_TOL):
         raise ParameterError(
             "nnfft_plan: frequencies exceed 1/(2a) = {:.6g}; apply "
             "rescale_frequencies to map [-1/2, 1/2] data into the band".format(vmax))
     v = np.clip(v, -vmax, vmax)
-    if np.max(np.abs(x)) > 0.5 + _DOMAIN_TOL:
+    if not np.all(np.abs(x) <= 0.5 + _DOMAIN_TOL):
         raise ParameterError("nnfft_plan: spatial nodes must lie in [-1/2, 1/2]")
     x = np.clip(x, -0.5, 0.5)
 

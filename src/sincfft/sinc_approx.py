@@ -10,8 +10,9 @@ on the Chebyshev points ``z_k = cos(k pi / n)`` with positive weights
 oversampling ``nu = n / N`` once ``nu`` exceeds the constant
 ``C ~= 3.692`` (see :mod:`sincfft.bounds`).
 
-Weights come either from the direct cosine-sum formula (any ``n >= 2``) or
-from a single orthogonal DCT-I (``n`` a power of two >= 4).
+The weights of every size ``n >= 2`` come from a single orthogonal DCT-I
+(Waldvogel, BIT 2006); the explicit cosine sum is kept as a test oracle in
+:mod:`sincfft.direct`.
 """
 
 import csv
@@ -23,8 +24,6 @@ from . import fft_core
 from .errors import ParameterError
 from .nfft import nfft_adjoint, nfft_plan
 from .special import sinc
-
-_DOMAIN_TOL = 1e-12
 
 
 def _eps_boundary(n, idx):
@@ -57,35 +56,6 @@ def _chebyshev_points(n):
     return z
 
 
-def cc_weights_direct(n):
-    """Clenshaw-Curtis weights by the explicit cosine sum, any ``n >= 2``.
-
-    The phase ``2 j k pi / n`` is reduced modulo ``2 pi`` in exact integer
-    arithmetic before the cosine is taken, which keeps the sum accurate
-    for large ``n``.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError("cc_weights_direct: n must be an integer >= 2")
-    jmax = n // 2 if n % 2 == 0 else (n - 1) // 2
-    j = np.arange(jmax + 1)
-    coef = _eps_boundary(n, 2 * j) ** 2 * (2.0 / (1.0 - 4.0 * j * j))
-    k = np.arange(n + 1)
-    phase = (2 * np.outer(j, k)) % (2 * n)
-    cosmat = np.cos((np.pi / n) * phase)
-    return (_eps_boundary(n, k) ** 2 / n) * (coef @ cosmat)
-
-
-def cc_weights_fast(n):
-    """Clenshaw-Curtis weights via one DCT-I; ``n`` must be ``2**t, t >= 2``."""
-    if not isinstance(n, (int, np.integer)) or n < 4 or n & (n - 1):
-        raise ParameterError(
-            "cc_weights_fast: n must be a power of two >= 4")
-    a = _dct_load(n)
-    ahat = fft_core.dct1(a)
-    k = np.arange(n + 1)
-    return _eps_boundary(n, k) / np.sqrt(2.0 * n) * ahat
-
-
 def _dct_load(n):
     # even entries eps_n(2j) * 2/(1 - 4 j^2), odd entries zero
     a = np.zeros(n + 1)
@@ -95,36 +65,13 @@ def _dct_load(n):
 
 
 def cc_quadrature(n):
-    """Build a :class:`CcQuadrature`, dispatching to the DCT-I fast path
-    whenever ``n`` is a power of two >= 4."""
+    """Build a :class:`CcQuadrature`; the weights are one DCT-I of length
+    ``n + 1``, for any integer ``n >= 2``."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError("cc_quadrature: n must be an integer >= 2")
-    if n >= 4 and (n & (n - 1)) == 0:
-        w = cc_weights_fast(n)
-    else:
-        w = cc_weights_direct(n)
-    return CcQuadrature(int(n), _chebyshev_points(n), np.asarray(w, dtype=float))
-
-
-def sinc_expsum_eval(quad, N, x):
-    """Evaluate the exponential-sum surrogate at arbitrary ``x in [-1, 1]``.
-
-    Direct summation over the ``n + 1`` terms; cost ``O(n len(x))``.
-    """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.size and np.max(np.abs(arr)) > 1.0 + _DOMAIN_TOL:
-        raise ParameterError("sinc_expsum_eval: x must lie in [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
-    out = np.empty(arr.size, dtype=complex)
-    chunk = 2048
-    zw = quad.weights
-    for lo in range(0, arr.size, chunk):
-        xb = arr[lo:lo + chunk]
-        phase = np.exp((-1j * np.pi * N) * np.outer(xb, quad.points))
-        out[lo:lo + xb.size] = (phase * zw).sum(axis=1)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return out[0]
-    return out
+    w = (_eps_boundary(n, np.arange(n + 1)) / np.sqrt(2.0 * n)
+         * fft_core.dct1(_dct_load(n)))
+    return CcQuadrature(int(n), _chebyshev_points(n), w)
 
 
 def sinc_expsum_eval_grid(quad, N, R):

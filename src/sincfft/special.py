@@ -1,13 +1,13 @@
 """Scalar special functions used by the window machinery.
 
-Thin, validated wrappers around :mod:`scipy.special` for the Bessel
-functions plus a vectorized centered cardinal B-spline and the unnormalized
-sinc function.  All functions accept scalars or arrays and return a scalar
-for scalar input.
+A validated wrapper around :func:`scipy.special.i1`, the centered cardinal
+B-spline and the unnormalized sinc function.  All functions accept scalars
+or arrays and return a scalar for scalar input.
 """
 
 import numpy as np
 from scipy import special as _sp
+from scipy.interpolate import BSpline
 
 from .errors import ParameterError
 
@@ -49,19 +49,14 @@ def bessel_i1(x):
     return float(out) if scalar else out
 
 
-def bessel_j1(x):
-    """Bessel function of the first kind of order 1 (odd in x)."""
-    arr, scalar = _prepare(x, "bessel_j1")
-    out = _sp.j1(arr)
-    return float(out) if scalar else out
-
-
 def cardinal_bspline(order, x):
     """Centered cardinal B-spline ``B_order`` evaluated at ``x``.
 
     ``B_order`` is supported on ``[-order/2, order/2]``, is piecewise
     polynomial of degree ``order - 1`` and normalized to unit integral.
-    Computed with the de Boor triangle, vectorized over ``x``.
+    Evaluated as the B-spline basis element on the integer knots
+    ``-order/2, ..., order/2``; the support is half-open, so
+    ``B_order(order/2) = 0`` also for ``order = 1``.
 
     Parameters
     ----------
@@ -72,16 +67,9 @@ def cardinal_bspline(order, x):
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ParameterError("cardinal_bspline: order must be a positive integer")
     arr, scalar = _prepare(x, "cardinal_bspline")
-    t = arr + order / 2.0
-    # vals[j] carries M_p(t - j) up the triangle; M_1 is the unit box.
-    vals = [np.where((j <= t) & (t < j + 1.0), 1.0, 0.0) for j in range(order)]
-    for p in range(2, order + 1):
-        nxt = []
-        for j in range(order - p + 1):
-            u = t - j
-            nxt.append((u * vals[j] + (p - u) * vals[j + 1]) / (p - 1))
-        vals = nxt
-    out = vals[0]
+    half = order / 2.0
+    basis = BSpline.basis_element(np.arange(order + 1) - half, extrapolate=False)
+    out = np.where((-half <= arr) & (arr < half), basis(arr), 0.0)
     return float(out) if scalar else out
 
 

@@ -19,10 +19,10 @@ Four shapes are provided:
 ``bspline``
     centered cardinal B-spline of order ``2m``; closed-form transform.
 ``algebraic``
-    ``(1 - x^2)^(beta - 1/2)`` with ``beta = 3m``; transform by quadrature.
+    ``(1 - x^2)^(beta - 1/2)`` with ``beta = 3m``; closed-form transform.
 ``kaiser-bessel``
     ``I_0(beta sqrt(1 - x^2)) / I_0(beta)`` on the open interval, zero at
-    ``|x| >= 1`` (same ``beta`` as the sinh shape); transform by quadrature.
+    ``|x| >= 1`` (same ``beta`` as the sinh shape); closed-form transform.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import ParameterError
-from .special import bessel_j1, cardinal_bspline, sinc
+from .special import cardinal_bspline, sinc
 
 _KINDS = ("sinh", "bspline", "algebraic", "kaiser-bessel")
 
@@ -132,81 +132,62 @@ def _bessel_ratio_series(w):
     return 0.5 + w / 16.0 + w * w / 384.0 + w * w * w / 18432.0
 
 
+def _sinh_ratio_series(w):
+    # sinh(z)/z in w = z^2, which is sin(y)/y at w = -y^2
+    return 1.0 + w / 6.0 + w * w / 120.0 + w * w * w / 5040.0
+
+
+def _across_w_zero(b, v, series, pos, neg):
+    # the sinh and Kaiser-Bessel transforms are entire in
+    # w = beta^2 - 4 pi^2 v^2: a power series in w near w = 0, closed forms
+    # in z = sqrt(|w|) on either side
+    w = np.atleast_1d(b * b - 4.0 * np.pi * np.pi * v * v)
+    res = np.empty_like(w)
+    near = np.abs(w) <= 1e-3
+    res[near] = series(w[near])
+    above = w > 1e-3
+    res[above] = pos(np.sqrt(w[above]))
+    below = w < -1e-3
+    res[below] = neg(np.sqrt(-w[below]))
+    return res.reshape(v.shape)
+
+
 def omega_hat_eval(spec, v):
     """Fourier transform ``omega_hat`` of the shape function at ``v``.
 
-    Closed forms for the ``sinh`` and ``bspline`` shapes; adaptive
-    Gauss-Legendre quadrature of ``2 int_0^1 omega(x) cos(2 pi v x) dx``
-    for the other shapes.
+    Closed forms, with ``z = sqrt(beta^2 - 4 pi^2 v^2)`` and ``w = 2 pi v``:
+    ``pi beta I_1(z) / (z sinh(beta))`` (sinh), ``2 sinh(z) / (z I_0(beta))``
+    (kaiser-bessel), ``sqrt(pi) Gamma(beta + 1/2) (2/w)^beta J_beta(w)``
+    (algebraic) and ``sinc(pi v / m)^(2m) / (m B_2m(0))`` (bspline).
     """
     arr, scalar = _as_array(v)
-    if spec.kind == "sinh":
-        b = spec.beta
-        one_m = -np.expm1(-2.0 * b)  # 1 - e^{-2 beta}
-        # pi*beta/sinh(beta), written without evaluating sinh
-        pref = 2.0 * np.pi * b * np.exp(-b) / one_m
-        w = b * b - 4.0 * np.pi * np.pi * arr * arr
-        res = np.empty_like(np.atleast_1d(w))
-        wf = np.atleast_1d(w)
-        near = np.abs(wf) <= 1e-3
-        res[near] = pref * _bessel_ratio_series(wf[near])
-        pos = wf > 1e-3
-        z = np.sqrt(wf[pos])
-        # pref * I1(z)/z, with I1(z) = i1e(z) e^z folded into the prefactor
-        res[pos] = 2.0 * np.pi * b * _sp.i1e(z) * np.exp(z - b) / (one_m * z)
-        neg = wf < -1e-3
-        zn = np.sqrt(-wf[neg])
-        res[neg] = pref * bessel_j1(zn) / zn
-        return float(res[0]) if scalar else res.reshape(np.shape(w))
+    b = spec.beta
     if spec.kind == "bspline":
         b0 = cardinal_bspline(2 * spec.m, 0.0)
         out = np.asarray(sinc(np.pi * arr / spec.m), dtype=float) ** (2 * spec.m)
         out = out / (spec.m * b0)
-        return float(out) if scalar else out
-    out = _cos_transform(lambda x: omega_eval(spec, x), np.atleast_1d(arr))
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-_QUAD_TOL = 1e-12
-_QUAD_MAX_EVALS = 2 ** 16
-
-
-def _cos_transform(omega_fn, v, tol=_QUAD_TOL, max_evals=_QUAD_MAX_EVALS):
-    """``2 * int_0^1 omega(x) cos(2 pi v x) dx`` for a vector of ``v``.
-
-    Gauss-Legendre panels refined by interval bisection until the worst
-    entry changes by less than ``tol`` times the panel width, with a hard
-    cap on the number of abscissa evaluations.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    evals = 0
-
-    def panel(lo, hi):
-        x = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
-        fw = omega_fn(x) * (0.5 * (hi - lo) * _GL_WEIGHTS)
-        return np.cos(2.0 * np.pi * v[:, None] * x[None, :]) @ fw
-
-    total = np.zeros(v.shape)
-    work = [(0.0, 1.0, panel(0.0, 1.0))]
-    evals += _GL_NODES.size
-    while work:
-        lo, hi, est = work.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        evals += 2 * _GL_NODES.size
-        if evals > max_evals:
-            raise ArithmeticError(
-                "window transform quadrature did not converge within "
-                f"{max_evals} evaluations")
-        if np.max(np.abs(left + right - est)) <= tol * (hi - lo):
-            total += left + right
-        else:
-            work.append((lo, mid, left))
-            work.append((mid, hi, right))
-    return 2.0 * total
+    elif spec.kind == "algebraic":
+        # the same closed form as B(1/2, beta + 1/2) 0F1(; beta + 1; -(pi v)^2),
+        # which stays finite at v = 0 and for large beta
+        out = _sp.beta(0.5, b + 0.5) * _sp.hyp0f1(b + 1.0, -(np.pi * arr) ** 2)
+    elif spec.kind == "sinh":
+        one_m = -np.expm1(-2.0 * b)  # 1 - e^{-2 beta}
+        # pi*beta/sinh(beta), written without evaluating sinh
+        pref = 2.0 * np.pi * b * np.exp(-b) / one_m
+        out = _across_w_zero(
+            b, arr, lambda w: pref * _bessel_ratio_series(w),
+            # pref * I1(z)/z, with I1(z) = i1e(z) e^z folded into the prefactor
+            lambda z: 2.0 * np.pi * b * _sp.i1e(z) * np.exp(z - b) / (one_m * z),
+            lambda y: pref * _sp.j1(y) / y)
+    else:  # kaiser-bessel
+        i0e = _sp.i0e(b)
+        pref = 2.0 * np.exp(-b) / i0e  # 2 / I0(beta)
+        out = _across_w_zero(
+            b, arr, lambda w: pref * _sinh_ratio_series(w),
+            # 2 sinh(z) / (z I0(beta)) = (1 - e^{-2z}) e^{z - beta} / (z i0e(beta))
+            lambda z: -np.expm1(-2.0 * z) * np.exp(z - b) / (z * i0e),
+            lambda y: pref * np.sin(y) / y)
+    return float(out) if scalar else out
 
 
 def phi_eval(spec, t):

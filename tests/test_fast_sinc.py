@@ -96,8 +96,11 @@ def test_linearity():
 def test_rejections():
     rng = np.random.default_rng(9)
     good = _random_nodes(rng, 8)
+    # odd lengths are no even grid, so an equispaced mode cannot be forced
     with pytest.raises(ParameterError):
-        sinc_plan(16, rng.uniform(-0.5, 0.5, 7), good)  # odd source count
+        sinc_plan(16, _grid(7), good, mode="equispaced-sources")
+    with pytest.raises(ParameterError):
+        sinc_plan(7, good, _grid(7), mode="equispaced-targets")
     with pytest.raises(ParameterError):
         sinc_plan(16, good, good, n=64, epsilon=1e-6)
     with pytest.raises(ParameterError):
@@ -107,6 +110,35 @@ def test_rejections():
     plan = sinc_plan(16, good, good)
     with pytest.raises(ParameterError):
         fast_sinc_transform(plan, np.ones(5, dtype=complex))
+
+
+@pytest.mark.parametrize("L1, L2", [(7, 9), (33, 65), (1, 3)])
+def test_odd_lengths_in_general_mode(L1, L2):
+    rng = np.random.default_rng(L1 * 100 + L2)
+    N = 32
+    a, b = _random_nodes(rng, L1), _random_nodes(rng, L2)
+    c = rng.uniform(-1, 1, L1) + 1j * rng.uniform(-1, 1, L1)
+    plan = sinc_plan(N, a, b)
+    assert plan.mode is SincMode.GENERAL
+    err = np.max(np.abs(fast_sinc_transform(plan, c)
+                        - sinc_transform_direct(c, a, b, N)))
+    assert err <= plan.error_bound()["full"] * np.sum(np.abs(c))
+
+
+@pytest.mark.parametrize("side", ["sources", "targets"])
+def test_short_grid_falls_back_to_general(side):
+    # with m1 = 6, sigma1 = 2 a grid needs L >= 12 points for its NFFT
+    # stage (2*m1 <= sigma1*L/2): L1 = 4 sources, or N = L2 = 8 targets
+    rng = np.random.default_rng(11)
+    N = 32 if side == "sources" else 8
+    a = _grid(4) if side == "sources" else _random_nodes(rng, 6)
+    b = _grid(8) if side == "targets" else _random_nodes(rng, 6)
+    c = rng.uniform(-1, 1, a.size) + 1j * rng.uniform(-1, 1, a.size)
+    plan = sinc_plan(N, a, b)
+    assert plan.mode is SincMode.GENERAL
+    err = np.max(np.abs(fast_sinc_transform(plan, c)
+                        - sinc_transform_direct(c, a, b, N)))
+    assert err <= plan.error_bound()["full"] * np.sum(np.abs(c))
 
 
 def test_error_bound_requires_sinh():

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sincfft.direct import nndft_direct
+from sincfft.direct import cc_weights_direct, nndft_direct
 from sincfft.errors import ParameterError
 from sincfft.sinc_approx import (_dct_load, cc_export_csv, cc_quadrature,
-                                 cc_weights_direct, cc_weights_fast,
-                                 sinc_expsum_eval, sinc_expsum_eval_grid,
-                                 sinc_expsum_max_error)
+                                 sinc_expsum_eval_grid, sinc_expsum_max_error)
 from sincfft.special import sinc
 
 
@@ -30,7 +30,27 @@ def test_weights_sum_positive_symmetric(n):
 
 @pytest.mark.parametrize("n", [4, 16, 256, 4096])
 def test_fast_weights_match_direct(n):
-    assert np.max(np.abs(cc_weights_fast(n) - cc_weights_direct(n))) <= 1e-13
+    assert np.max(np.abs(cc_quadrature(n).weights - cc_weights_direct(n))) <= 1e-13
+
+
+def _check_weights_against_oracle(n):
+    w = cc_quadrature(n).weights
+    assert np.all(w > 0.0)
+    assert abs(np.sum(w) - 1.0) <= 1e-14
+    assert np.max(np.abs(w - w[::-1])) <= 1e-15
+    assert np.max(np.abs(w - cc_weights_direct(n))) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4096))
+def test_dct_weights_match_cosine_sum_for_every_n(n):
+    _check_weights_against_oracle(n)
+
+
+@pytest.mark.parametrize("n", [6144, 12289])
+def test_dct_weights_match_cosine_sum_large_n(n):
+    # 6144 = 6N at the paper's N = 1024; 12289 is odd and prime
+    _check_weights_against_oracle(n)
 
 
 def test_dct_load_n4():
@@ -48,7 +68,8 @@ def test_polynomial_exactness(n):
 
 def test_surrogate_interpolates_at_zero():
     quad = cc_quadrature(32)
-    assert sinc_expsum_eval(quad, 8, 0.0) == pytest.approx(1.0, abs=1e-14)
+    at_zero = nndft_direct(quad.weights, quad.points, np.zeros(1), 8 / 2)[0]
+    assert at_zero == pytest.approx(1.0, abs=1e-14)
 
 
 def test_surrogate_accuracy_spot_checks():
@@ -56,7 +77,7 @@ def test_surrogate_accuracy_spot_checks():
     N = 16
     quad = cc_quadrature(6 * N)
     x = np.linspace(-1.0, 1.0, 501)
-    approx = sinc_expsum_eval(quad, N, x)
+    approx = nndft_direct(quad.weights, quad.points, x, N / 2)
     exact = sinc(np.pi * N * x)
     assert np.max(np.abs(approx - exact)) < 1e-12
 
@@ -66,7 +87,7 @@ def test_grid_path_matches_direct_summation():
     quad = cc_quadrature(4 * N)
     grid_vals = sinc_expsum_eval_grid(quad, N, R)
     r = np.arange(R) - R // 2
-    direct_vals = sinc_expsum_eval(quad, N, 2.0 * r / R)
+    direct_vals = nndft_direct(quad.weights, quad.points, 2.0 * r / R, N / 2)
     assert np.max(np.abs(grid_vals - direct_vals)) <= 1e-13
 
 
@@ -88,7 +109,8 @@ def test_max_error_consistent_with_eval(tmp_path):
     reported = sinc_expsum_max_error(quad, N, R)
     r = np.arange(R) - R // 2
     x = 2.0 * r / R
-    brute = np.max(np.abs(sinc_expsum_eval(quad, N, x) - sinc(np.pi * N * x)))
+    brute = np.max(np.abs(nndft_direct(quad.weights, quad.points, x, N / 2)
+                          - sinc(np.pi * N * x)))
     # the two routes differ only by the grid evaluator's internal rounding
     assert reported == pytest.approx(brute, abs=1e-13)
 
@@ -107,12 +129,10 @@ def test_rejections():
     with pytest.raises(ParameterError):
         cc_quadrature(1)
     with pytest.raises(ParameterError):
-        cc_weights_fast(12)  # not a power of two
+        cc_quadrature(4.0)
     with pytest.raises(ParameterError):
-        cc_weights_fast(2)
+        cc_weights_direct(1)
     quad = cc_quadrature(8)
-    with pytest.raises(ParameterError):
-        sinc_expsum_eval(quad, 4, np.array([1.5]))
     with pytest.raises(ParameterError):
         sinc_expsum_eval_grid(quad, 4, 7)  # odd grid size
     with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from sincfft.errors import ParameterError
-from sincfft.special import bessel_i1, bessel_j1, cardinal_bspline, sinc
+from sincfft.special import bessel_i1, cardinal_bspline, sinc
 
 # reference values computed independently (series / library cross-check)
 # and frozen before the wrappers were written
@@ -13,7 +13,6 @@ I1_REFERENCE = {
     1.0: 0.565159103992485,
     10.0: 2670.988303701255,
 }
-J1_AT_ONE = 0.440050585744934
 
 
 def test_i1_frozen_values():
@@ -46,18 +45,6 @@ def test_i1_overflow_signals():
         bessel_i1(1e4)
 
 
-def test_j1_frozen_value_and_zero():
-    assert bessel_j1(1.0) == pytest.approx(J1_AT_ONE, rel=1e-14)
-    # first positive zero of J1 lies in (3.8316, 3.8318)
-    assert bessel_j1(3.8316) > 0.0
-    assert bessel_j1(3.8318) < 0.0
-
-
-def test_j1_odd():
-    x = np.linspace(0.1, 8.0, 23)
-    assert np.allclose(bessel_j1(-x), -bessel_j1(x), rtol=0, atol=1e-15)
-
-
 def test_bspline_known_center_values():
     # centered linear B-spline peaks at 1, the cubic one at 2/3
     assert cardinal_bspline(2, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -75,6 +62,31 @@ def test_bspline_partition_properties(order):
     assert np.max(np.abs(vals[outside])) == 0.0
     integral = np.trapezoid(vals, x)
     assert integral == pytest.approx(1.0, abs=5e-7)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 12])
+def test_bspline_support_is_half_open(order):
+    # B_order vanishes at the right end of its support, even the box B_1
+    assert cardinal_bspline(order, order / 2) == 0.0
+    assert cardinal_bspline(order, -order / 2) == (1.0 if order == 1 else 0.0)
+
+
+def _bspline_de_boor(order, x):
+    # the recurrence M_p(t) = (t M_{p-1}(t) + (p - t) M_{p-1}(t - 1))/(p - 1)
+    # on t = x + order/2, started from the unit boxes M_1(t - j)
+    t = x + order / 2.0
+    vals = [np.where((j <= t) & (t < j + 1.0), 1.0, 0.0) for j in range(order)]
+    for p in range(2, order + 1):
+        vals = [((t - j) * vals[j] + (p - t + j) * vals[j + 1]) / (p - 1)
+                for j in range(order - p + 1)]
+    return vals[0]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 12, 16])
+def test_bspline_matches_de_boor_recurrence(order):
+    x = np.linspace(-order / 2 - 1, order / 2 + 1, 2001)
+    ref = _bspline_de_boor(order, x)
+    assert np.max(np.abs(cardinal_bspline(order, x) - ref)) <= 1e-15
 
 
 def test_bspline_shifted_sum_is_one():

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sincfft.errors import ParameterError
-from sincfft.windows import (WindowSpec, _cos_transform, omega_eval,
-                             omega_hat_eval, phi_eval, phi_hat_eval,
-                             window_kinds)
+from sincfft.windows import (WindowSpec, omega_eval, omega_hat_eval, phi_eval,
+                             phi_hat_eval, window_kinds)
 
 SPECS = {
     "sinh": WindowSpec("sinh", 4, 2.0, 64),
@@ -15,6 +16,13 @@ SPECS = {
     "algebraic": WindowSpec("algebraic", 4, 2.0, 64),
     "kaiser-bessel": WindowSpec("kaiser-bessel", 4, 2.0, 64),
 }
+
+
+def _quad_transform(spec, v):
+    # 2 int_0^1 omega(x) cos(2 pi v x) dx by QUADPACK's cosine-weighted rule
+    val, _ = quad(lambda x: omega_eval(spec, x), 0.0, 1.0, weight="cos",
+                  wvar=2.0 * np.pi * v, limit=400, epsabs=1e-13, epsrel=1e-13)
+    return 2.0 * val
 
 
 @pytest.mark.parametrize("kind", window_kinds())
@@ -69,8 +77,21 @@ def test_sinh_hat_against_quadrature_wide_range():
     spec = WindowSpec("sinh", 6, 1.25, 64)
     v = np.linspace(0.0, 2.0 * spec.m, 25)
     closed = omega_hat_eval(spec, v)
-    ref = _cos_transform(lambda x: omega_eval(spec, x), v)
+    ref = np.array([_quad_transform(spec, vi) for vi in v])
     assert np.max(np.abs(closed - ref)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["kaiser-bessel", "algebraic"]),
+       m=st.integers(min_value=2, max_value=12),
+       sigma=st.floats(min_value=1.05, max_value=4.0),
+       t=st.floats(min_value=0.0, max_value=1.0))
+def test_closed_form_hat_matches_quadrature(kind, m, sigma, t):
+    """Kaiser-Bessel and algebraic closed forms on v in [0, 2m]."""
+    spec = WindowSpec(kind, m, sigma, 1024)
+    v = 2.0 * m * t
+    hat0 = omega_hat_eval(spec, 0.0)
+    assert abs(omega_hat_eval(spec, v) - _quad_transform(spec, v)) <= 1e-12 * hat0
 
 
 def test_bspline_hat_at_zero():
