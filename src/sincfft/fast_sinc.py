@@ -9,21 +9,22 @@ double sum into two nonequispaced FFT stages sharing the Chebyshev nodes:
 2. ``alpha_j = w_j g_j``,
 3. ``h_l = sum_j alpha_j e^{+pi i N z_j b_l}`` (sum over Chebyshev nodes).
 
-Either stage collapses to a classical NFFT / adjoint NFFT when the
-corresponding node set is the even grid; the plan detects this and picks
-the cheapest route.  Total cost ``O((L1 + L2 + N log N) log(1/eps))`` at
-target accuracy ``eps``.
+A nonequispaced stage runs as an NNFFT at the rescaled bandwidth ``N*``
+of :func:`sincfft.nnfft.rescale_frequencies` (the smallest admissible
+``N* >= N + ceil(2 m1/sigma1)`` with a fast FFT length).  Either stage
+collapses to a classical NFFT / adjoint NFFT when the corresponding node
+set is the even grid; the plan detects this and picks the cheapest route.
+Total cost ``O((L1 + L2 + N log N) log(1/eps))`` at target accuracy ``eps``.
 """
 
 import enum
-import math
 
 import numpy as np
 
 from . import bounds as _bounds
 from .errors import ParameterError
-from .nfft import nfft_adjoint, nfft_plan, nfft_trafo
-from .nnfft import NnfftGeometry, nnfft_plan, nnfft_trafo
+from .nfft import as_coefficients, nfft_adjoint, nfft_plan, nfft_trafo
+from .nnfft import NnfftGeometry, fast_bandwidth, nnfft_plan, nnfft_trafo
 from .sinc_approx import cc_quadrature
 
 _GRID_TOL = 1e-12
@@ -92,19 +93,6 @@ class SincPlan:
             "simplified": simplified,
             "simplified_valid": bool(b_term <= 1.0),
         }
-
-
-def _even_bandwidth(N, sigma1, m1):
-    """Smallest rescaled bandwidth >= N + ceil(2 m1/sigma1) whose
-    oversampled grid sigma1 * N_star is an even integer."""
-    n_star = int(N) + math.ceil(2 * m1 / sigma1)
-    for cand in range(n_star, n_star + 100000):
-        n1 = sigma1 * cand
-        n1r = round(n1)
-        if abs(n1 - n1r) < 1e-9 and n1r % 2 == 0:
-            return cand
-    raise ParameterError(
-        f"no admissible rescaled bandwidth found for sigma1={sigma1}")
 
 
 def _is_even_grid(nodes, L, scale):
@@ -199,17 +187,16 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
                 "sinc_plan: equispaced-targets mode requires L2 = N even and b_l = l/N")
 
     params = (int(m1), int(m2), float(sigma1), float(sigma2), window1, window2)
-    n_star = _even_bandwidth(int(N), float(sigma1), int(m1))
+    n_star = fast_bandwidth(int(N), float(sigma1), int(m1))
     inner_geometry = NnfftGeometry.from_parameters(
         n_star, a.size, z.size, float(sigma1), float(sigma2), int(m1), int(m2))
-    scale = N / n_star
 
     if mode in (SincMode.EQUISPACED_SOURCES, SincMode.EQUISPACED_BOTH):
         t = _wrap_half(-(N / (2.0 * a.size)) * z)
         plan1 = nfft_plan(a.size, t, sigma=float(sigma1), m=int(m1), window=window1)
         step1_kind = "nfft"
     else:
-        plan1 = nnfft_plan(n_star, a * scale, 0.5 * z,
+        plan1 = nnfft_plan(n_star, (a * N) / n_star, 0.5 * z,
                            sigma1=float(sigma1), sigma2=float(sigma2),
                            m1=int(m1), m2=int(m2),
                            window1=window1, window2=window2)
@@ -220,7 +207,7 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
                           window=window1)
         step3_kind = "adjoint"
     else:
-        plan3 = nnfft_plan(n_star, (-0.5 * scale) * z, b,
+        plan3 = nnfft_plan(n_star, (z * (-0.5 * N)) / n_star, b,
                            sigma1=float(sigma1), sigma2=float(sigma2),
                            m1=int(m1), m2=int(m2),
                            window1=window1, window2=window2)
@@ -231,21 +218,9 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
 
 
 def fast_sinc_transform(plan, c):
-    """Apply the planned fast sinc transform to coefficients ``c``.
-
-    Parameters
-    ----------
-    plan : SincPlan
-    c : complex array, shape (L1,)
-
-    Returns
-    -------
-    complex ndarray, shape (L2,)
-    """
-    c = np.ascontiguousarray(c, dtype=complex)
-    if c.shape != (plan.L1,):
-        raise ParameterError(
-            f"fast_sinc_transform: expected {plan.L1} coefficients, got {c.shape}")
+    """Apply the planned fast sinc transform to ``L1`` finite coefficients
+    ``c``; returns ``L2`` complex values."""
+    c = as_coefficients(c, plan.L1, "fast_sinc_transform")
     if plan._step1_kind == "nfft":
         g = nfft_trafo(plan._plan1, c)
     else:

@@ -1,8 +1,8 @@
 """Uniform transform kernels the fast algorithms are built on.
 
-Wraps the pocketfft implementations behind the two call shapes used in this
-package: an unnormalized complex FFT of arbitrary length and the orthogonal
-(self-inverse) cosine transform of type I.
+An unnormalized complex FFT of arbitrary length and the orthogonal
+(self-inverse) cosine transform of type I, both from pocketfft, and the
+product of a real sparse stencil matrix with a complex vector.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ def fft(values, direction="forward"):
     if direction == "forward":
         return scipy.fft.fft(v)
     if direction == "inverse":
-        return scipy.fft.ifft(v) * v.size
+        return scipy.fft.ifft(v, norm="forward")
     raise ParameterError(f"fft: direction must be 'forward' or 'inverse', got {direction!r}")
 
 
@@ -40,3 +40,10 @@ def dct1(values):
     if v.ndim != 1 or v.size < 3:
         raise ParameterError("dct1: need a 1-d array of length n+1 >= 3")
     return scipy.fft.dct(v, type=1, norm="ortho")
+
+
+def sparse_apply(op, values):
+    """``op @ values`` for a real sparse ``op`` and a contiguous complex vector,
+    as one real product with its ``(n, 2)`` view (a complex operand would
+    make scipy upcast ``op`` on every call)."""
+    return (op @ values.view(float).reshape(-1, 2)).view(complex).ravel()

@@ -8,6 +8,7 @@ the inner-product identity to rounding accuracy.
 """
 
 import numpy as np
+import scipy.sparse
 
 from . import fft_core
 from .errors import ParameterError, PositivityError
@@ -28,26 +29,50 @@ class NfftPlan:
     window : WindowSpec
     nodes : ndarray, shape (M,)
         Spatial nodes in ``[-1/2, 1/2]``.
-    spread_idx : int ndarray, shape (M, 2m)
-        Grid positions (mod ``n_over``) each node touches.
-    spread_val : ndarray, shape (M, 2m)
-        Window values at those positions.
-    hat : ndarray, shape (N,)
-        ``phi_hat`` on ``I_N``, strictly positive.
+    spread_idx, spread_val : int32 and float ndarrays, shape (M, 2m)
+        Grid positions (mod ``n_over``) each node touches, window values.
+    deconv : ndarray, shape (N,)
+        ``1 / (n_over * phi_hat)`` on ``I_N`` (``phi_hat > 0`` there).
+    gather : scipy.sparse.csr_array, shape (M, n_over)
+        The two tables as one matrix sharing their memory; the adjoint
+        spreads with its transpose.
     """
 
-    def __init__(self, degree, n_over, window, nodes, spread_idx, spread_val, hat):
+    def __init__(self, degree, n_over, window, nodes, spread_idx, spread_val, deconv):
         self.degree = degree
         self.n_over = n_over
         self.window = window
         self.nodes = nodes
         self.spread_idx = spread_idx
         self.spread_val = spread_val
-        self.hat = hat
+        self.deconv = deconv
+        self.gather = stencil_matrix(spread_idx, spread_val, n_over)
 
     @property
     def node_count(self):
         return self.nodes.size
+
+
+def stencil_matrix(idx, val, n_cols):
+    """CSR matrix with ``val[j]`` at the columns ``idx[j]`` of row ``j``,
+    sharing the memory of the C-contiguous int32 ``idx`` and float ``val``."""
+    # int32 row offsets keep the tables shared; past 2**31 entries they would
+    # wrap, so scipy gets int64 offsets and widens the indices itself
+    ptr = np.arange(0, idx.size + 1, idx.shape[1],
+                    dtype=np.int32 if idx.size < 2**31 else np.int64)
+    return scipy.sparse.csr_array((val.ravel(), idx.ravel(), ptr),
+                                  shape=(idx.shape[0], n_cols))
+
+
+def as_coefficients(values, size, who):
+    """``values`` as a contiguous complex vector; raises
+    :class:`ParameterError` unless its shape is ``(size,)`` and it is finite."""
+    c = np.ascontiguousarray(values, dtype=complex)
+    if c.shape != (size,):
+        raise ParameterError(f"{who}: expected {size} values, got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ParameterError(f"{who}: values must be finite")
+    return c
 
 
 def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
@@ -83,26 +108,20 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
 
     # fixed 2m-point stencil around floor(n_over * x); boundary entries may
     # carry an exact window zero, which keeps every row the same length
-    center = np.floor(n_over * x).astype(np.int64)
-    offsets = np.arange(1 - m, m + 1, dtype=np.int64)
-    ell = center[:, None] + offsets[None, :]
-    val = phi_eval(spec, x[:, None] - ell / n_over)
-    idx = np.mod(ell, n_over)
-    return NfftPlan(int(N), n_over, spec, x, idx, val, hat)
+    idx = (np.floor(n_over * x).astype(np.int32)[:, None]
+           + np.arange(1 - m, m + 1, dtype=np.int32))
+    val = np.asarray(phi_eval(spec, x[:, None] - idx / n_over), dtype=float)
+    np.mod(idx, n_over, out=idx)
+    return NfftPlan(int(N), n_over, spec, x, idx, val, 1.0 / (n_over * hat))
 
 
 def nfft_trafo(plan, c):
     """Evaluate ``sum_{k in I_N} c_k e^{2 pi i k x_j}`` for all plan nodes."""
-    c = np.ascontiguousarray(c, dtype=complex)
-    if c.shape != (plan.degree,):
-        raise ParameterError(
-            f"nfft_trafo: expected {plan.degree} coefficients, got {c.shape}")
-    chat = c / plan.hat
+    chat = as_coefficients(c, plan.degree, "nfft_trafo") * plan.deconv
+    h = plan.degree // 2
     buf = np.zeros(plan.n_over, dtype=complex)
-    kmod = np.mod(np.arange(plan.degree) - plan.degree // 2, plan.n_over)
-    buf[kmod] = chat
-    g = fft_core.fft(buf, "inverse") / plan.n_over
-    return (g[plan.spread_idx] * plan.spread_val).sum(axis=1)
+    buf[:h], buf[-h:] = chat[h:], chat[:h]
+    return fft_core.sparse_apply(plan.gather, fft_core.fft(buf, "inverse"))
 
 
 def nfft_adjoint(plan, y):
@@ -110,14 +129,7 @@ def nfft_adjoint(plan, y):
 
     Exact conjugate transpose of :func:`nfft_trafo` stage by stage.
     """
-    y = np.ascontiguousarray(y, dtype=complex)
-    if y.shape != (plan.node_count,):
-        raise ParameterError(
-            f"nfft_adjoint: expected {plan.node_count} values, got {y.shape}")
-    w = y[:, None] * plan.spread_val
-    flat = plan.spread_idx.ravel()
-    G = (np.bincount(flat, weights=w.real.ravel(), minlength=plan.n_over)
-         + 1j * np.bincount(flat, weights=w.imag.ravel(), minlength=plan.n_over))
-    T = fft_core.fft(G, "forward") / plan.n_over
-    kmod = np.mod(np.arange(plan.degree) - plan.degree // 2, plan.n_over)
-    return T[kmod] / plan.hat
+    y = as_coefficients(y, plan.node_count, "nfft_adjoint")
+    T = fft_core.fft(fft_core.sparse_apply(plan.gather.T, y), "forward")
+    h = plan.degree // 2
+    return np.concatenate((T[-h:], T[:h])) * plan.deconv

@@ -10,18 +10,23 @@ one FFT onto a finer grid, gathering around each spatial node with
 ``phi_2``, and finally dividing by ``phi_hat_1`` at the nodes.  Cost is
 ``O(m1 M1 + N2 log N2 + m2 M2)`` instead of ``O(M1 M2)``.
 
+Each gridding stage is one sparse stencil matrix built at plan time.
+
 Frequencies must satisfy ``|v_k| <= 1/(2a)`` with ``a = 1 + 2 m1 / N1``;
 :func:`rescale_frequencies` maps data given on ``[-1/2, 1/2]`` onto an
-admissible configuration with a slightly enlarged bandwidth.
+admissible configuration with a slightly enlarged bandwidth ``N*``, the
+smallest admissible ``N* >= N + ceil(2 m1/sigma1)`` with a fast FFT length.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from . import fft_core
 from .errors import ParameterError, PositivityError
+from .nfft import as_coefficients, stencil_matrix
 from .windows import WindowSpec, phi_eval, phi_hat_eval
 
 _DOMAIN_TOL = 1e-12
@@ -90,10 +95,20 @@ class NnfftGeometry:
 
 
 class NnfftPlan:
-    """Precomputed tables for one (frequencies, nodes) pair."""
+    """Precomputed tables for one (frequencies, nodes) pair.
+
+    ``spread_idx``/``spread_val`` (int32/float, shape (M1, 2 m1)) hold the
+    coarse-grid positions ``0..K-1`` (``K = N1 + 2 m1``) and ``phi_1``
+    values of each frequency; ``spread`` is the K x M1 CSC matrix made of
+    them.  ``gather_idx``/``gather_val`` (shape (M2, 2 m2)) hold the
+    fine-grid positions (mod ``N2``) and ``phi_2`` values of each node;
+    ``gather`` is the M2 x N2 CSR matrix made of them.  Both matrices share
+    the tables' memory.  ``deconv = 1/(N1 N2 phi_hat_2)`` on the coarse
+    grid; ``hat1 = phi_hat_1(N x_j)`` at the nodes.
+    """
 
     def __init__(self, geometry, window1, window2, v, x,
-                 spread_idx, spread_val, gather_idx, gather_val, hat1, hat2):
+                 spread_idx, spread_val, gather_idx, gather_val, hat1, deconv):
         self.geometry = geometry
         self.window1 = window1
         self.window2 = window2
@@ -104,16 +119,34 @@ class NnfftPlan:
         self.gather_idx = gather_idx
         self.gather_val = gather_val
         self.hat1 = hat1
-        self.hat2 = hat2
+        self.deconv = deconv
+        self.spread = stencil_matrix(spread_idx, spread_val, deconv.size).T
+        self.gather = stencil_matrix(gather_idx, gather_val, geometry.N2)
+
+
+def fast_bandwidth(N, sigma1, m1):
+    """Smallest ``N* >= N + ceil(2 m1/sigma1)`` such that ``N1 = sigma1 N*``
+    is an even integer with ``4 m1 <= N1`` (as :class:`NnfftGeometry`
+    requires) and ``K = N1 + 2 m1`` is a fast FFT length
+    (``next_fast_len(K) == K``); with ``sigma2 = 2`` the FFT length ``2K``
+    then has no prime factor above 11."""
+    start = int(N) + math.ceil(2 * m1 / sigma1)
+    for n_star in range(start, start + 100000):
+        n1 = round(sigma1 * n_star)
+        if (abs(sigma1 * n_star - n1) <= 1e-9 and n1 % 2 == 0 and 4 * m1 <= n1
+                and scipy.fft.next_fast_len(n1 + 2 * m1) == n1 + 2 * m1):
+            return n_star
+    raise ParameterError(f"no admissible bandwidth found for sigma1={sigma1}")
 
 
 def rescale_frequencies(N, v, sigma1, m1):
     """Shrink frequencies from ``[-1/2, 1/2]`` into the admissible band.
 
-    Returns ``(N_star, v_star)`` with ``N_star = N + ceil(2 m1 / sigma1)``
-    and ``v_star = v * N / N_star``, which keeps every product
-    ``N * v_k = N_star * v_star_k`` exactly and guarantees
-    ``|v_star| <= 1/(2 a_star)`` for the enlarged bandwidth.
+    Returns ``(N_star, v_star)``: ``N_star`` is the smallest admissible
+    bandwidth ``>= N + ceil(2 m1 / sigma1)`` with a fast FFT length
+    (:func:`fast_bandwidth`) and ``v_star = (v * N) / N_star``, which keeps
+    every product ``N_star * v_star_k`` within one rounding of ``N * v_k``
+    and guarantees ``|v_star| <= 1/(2 a_star)`` for the enlarged bandwidth.
     """
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ParameterError("rescale_frequencies: N must be a positive integer")
@@ -124,8 +157,8 @@ def rescale_frequencies(N, v, sigma1, m1):
     arr = np.asarray(v, dtype=float)
     if not np.all(np.abs(arr) <= 0.5 + _DOMAIN_TOL):
         raise ParameterError("rescale_frequencies: frequencies must lie in [-1/2, 1/2]")
-    n_star = int(N) + math.ceil(2 * m1 / sigma1)
-    return n_star, arr * (N / n_star)
+    n_star = fast_bandwidth(N, sigma1, m1)
+    return n_star, (arr * N) / n_star
 
 
 def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
@@ -185,59 +218,39 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     # spreading table: phi_1(l/N1 - v_k) on the fixed 2*m1 stencil around
     # floor(N1 v_k); the support never leaves the padded index range, so
     # out-of-range entries (window zeros at the stencil boundary) are clipped
-    center = np.floor(geo.N1 * v).astype(np.int64)
-    offs = np.arange(1 - geo.m1, geo.m1 + 1, dtype=np.int64)
-    ell = center[:, None] + offs[None, :]
-    sval = np.asarray(phi_eval(w1, ell / geo.N1 - v[:, None]), dtype=float)
-    spos = ell + K // 2
+    spos = (np.floor(geo.N1 * v).astype(np.int32)[:, None]
+            + np.arange(1 - geo.m1, geo.m1 + 1, dtype=np.int32))
+    sval = np.asarray(phi_eval(w1, spos / geo.N1 - v[:, None]), dtype=float)
+    spos += K // 2
     bad = (spos < 0) | (spos >= K)
     if np.any(bad):
-        sval = np.where(bad, 0.0, sval)
-        spos = np.clip(spos, 0, K - 1)
+        sval[bad] = 0.0
+        np.clip(spos, 0, K - 1, out=spos)
 
     # gathering table: phi_2(x_j/sigma1 - s/N2), indexed mod N2 because the
     # fine-grid values are N2-periodic
     xs = x * (geo.N / geo.N1)  # x/sigma1 with the exact grid ratio
-    centre2 = np.floor(geo.N2 * xs).astype(np.int64)
-    offs2 = np.arange(1 - geo.m2, geo.m2 + 1, dtype=np.int64)
-    s_ell = centre2[:, None] + offs2[None, :]
-    gval = np.asarray(phi_eval(w2, xs[:, None] - s_ell / geo.N2), dtype=float)
-    gpos = np.mod(s_ell, geo.N2)
+    gpos = (np.floor(geo.N2 * xs).astype(np.int32)[:, None]
+            + np.arange(1 - geo.m2, geo.m2 + 1, dtype=np.int32))
+    gval = np.asarray(phi_eval(w2, xs[:, None] - gpos / geo.N2), dtype=float)
+    np.mod(gpos, geo.N2, out=gpos)
 
-    return NnfftPlan(geo, w1, w2, v, x, spos, sval, gpos, gval, hat1, hat2)
+    return NnfftPlan(geo, w1, w2, v, x, spos, sval, gpos, gval, hat1,
+                     1.0 / (geo.N1 * geo.N2 * hat2))
 
 
 def nnfft_trafo(plan, f):
-    """Evaluate ``sum_k f_k e^{-2 pi i N v_k x_j}`` at all plan nodes.
-
-    Parameters
-    ----------
-    plan : NnfftPlan
-    f : complex array, shape (M1,)
-
-    Returns
-    -------
-    complex ndarray, shape (M2,)
-    """
+    """Evaluate ``sum_k f_k e^{-2 pi i N v_k x_j}`` at all plan nodes for
+    ``M1`` finite coefficients ``f``; returns ``M2`` complex values."""
     geo = plan.geometry
-    f = np.ascontiguousarray(f, dtype=complex)
-    if f.shape != (geo.M1,):
-        raise ParameterError(
-            f"nnfft_trafo: expected {geo.M1} coefficients, got {f.shape}")
-    K = geo.N1 + 2 * geo.m1
+    f = as_coefficients(f, geo.M1, "nnfft_trafo")
+    h = (geo.N1 + 2 * geo.m1) // 2
 
-    # spread onto the coarse grid
-    w = f[:, None] * plan.spread_val
-    flat = plan.spread_idx.ravel()
-    g = (np.bincount(flat, weights=w.real.ravel(), minlength=K)
-         + 1j * np.bincount(flat, weights=w.imag.ravel(), minlength=K)) / geo.N1
-
-    # deconvolve with the second window and run one FFT onto the fine grid
-    ghat = g / plan.hat2
+    # spread onto the coarse grid, deconvolve with the second window and
+    # place the grid, centred, into the buffer of one FFT onto the fine grid
+    g = fft_core.sparse_apply(plan.spread, f) * plan.deconv
     buf = np.zeros(geo.N2, dtype=complex)
-    buf[np.mod(np.arange(K) - K // 2, geo.N2)] = ghat
-    h = fft_core.fft(buf, "forward") / geo.N2
+    buf[:h], buf[-h:] = g[h:], g[:h]
 
     # gather at the spatial nodes and undo the first window in Fourier space
-    s1 = (h[plan.gather_idx] * plan.gather_val).sum(axis=1)
-    return s1 / plan.hat1
+    return fft_core.sparse_apply(plan.gather, fft_core.fft(buf, "forward")) / plan.hat1

@@ -31,6 +31,10 @@ def test_spread_rows_have_fixed_width():
     assert plan.spread_val.shape == (3, 8)
     assert np.all((plan.spread_idx >= 0) & (plan.spread_idx < plan.n_over))
     assert np.all(plan.spread_val >= 0.0)
+    # the gather matrix is made of the two tables, not of copies
+    assert plan.spread_idx.dtype == np.int32
+    assert np.shares_memory(plan.gather.indices, plan.spread_idx)
+    assert np.shares_memory(plan.gather.data, plan.spread_val)
     # a node exactly on a grid point still gets 2m entries; the last one
     # sits on the support boundary and carries the window's exact zero
     row = plan.spread_val[0]

@@ -1,7 +1,12 @@
 """Two-stage nonequispaced transform: geometry, accuracy, internal consistency."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sincfft import bounds
 from sincfft.direct import nndft_direct
@@ -57,6 +62,58 @@ def test_rescale_reference_case():
     assert np.max(np.abs(v_star)) <= 1 / (2 * a_star)
 
 
+def test_rescale_returns_a_bandwidth_the_plan_accepts():
+    # N + ceil(2 m1/sigma1) = 106 gives sigma1 N* = 159 (odd), 108 gives
+    # K = 170 = 2*5*17; 112 is the first admissible bandwidth with K = 176
+    v = np.array([-0.5, 0.1, 0.5])
+    n_star, v_star = rescale_frequencies(100, v, 1.5, 4)
+    assert n_star == 112
+    plan = nnfft_plan(n_star, v_star, np.array([0.2]), sigma1=1.5, m1=4)
+    assert plan.geometry.N1 + 2 * 4 == 176
+
+
+def _admissible(n_star, sigma1, m1):
+    n1 = Fraction(sigma1) * n_star
+    return (n1.denominator == 1 and n1 % 2 == 0 and 4 * m1 <= n1
+            and scipy.fft.next_fast_len(int(n1) + 2 * m1) == int(n1) + 2 * m1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(min_value=1, max_value=10**5),
+       sigma1=st.sampled_from([1.25, 1.5, 2.0]),
+       m1=st.integers(min_value=2, max_value=12),
+       # no subnormal v*: the one-ulp bound is relative
+       v=st.lists(st.floats(min_value=-0.5, max_value=0.5).filter(
+           lambda t: t == 0.0 or abs(t) >= 1e-300), min_size=1, max_size=5))
+def test_rescaled_bandwidth_is_smallest_admissible_with_fast_fft(N, sigma1, m1, v):
+    # a few hundred uniform draws next to the generated values, so that a
+    # second rounding (v * (N / N*)) shows up as a 2-ulp miss
+    v = np.concatenate([v, np.random.default_rng(N).uniform(-0.5, 0.5, 256)])
+    n_star, v_star = rescale_frequencies(N, v, sigma1, m1)
+    start = N + -(-2 * m1 // Fraction(sigma1))
+    assert start <= n_star
+    assert _admissible(n_star, sigma1, m1)
+    assert not any(_admissible(n, sigma1, m1) for n in range(int(start), n_star))
+    plan = nnfft_plan(n_star, v_star, np.array([-0.5, 0.1, 0.5]),
+                      sigma1=sigma1, m1=m1, m2=m1)
+    K = plan.geometry.N1 + 2 * m1
+    assert scipy.fft.next_fast_len(K) == K
+    # one rounding: N* v* lies within one ulp of N v
+    assert np.all(np.abs(n_star * v_star - N * v) <= np.spacing(np.abs(N * v)))
+
+
+def test_stencil_matrices_share_the_tables():
+    rng = np.random.default_rng(5)
+    plan = nnfft_plan(32, rng.uniform(-0.4, 0.4, 7), rng.uniform(-0.5, 0.5, 9),
+                      m1=3, m2=3)
+    K = plan.geometry.N1 + 2 * 3
+    assert plan.spread.shape == (K, 7) and plan.gather.shape == (9, plan.geometry.N2)
+    for op, idx, val in ((plan.spread, plan.spread_idx, plan.spread_val),
+                         (plan.gather, plan.gather_idx, plan.gather_val)):
+        assert idx.dtype == np.int32
+        assert np.shares_memory(op.indices, idx) and np.shares_memory(op.data, val)
+
+
 def test_rescale_then_transform_matches_direct():
     rng = np.random.default_rng(31)
     N, M1, M2 = 60, 25, 30
@@ -101,11 +158,10 @@ def _slow_reference(plan, f):
     for k in range(geo.M1):
         for t in range(2 * geo.m1):
             g[plan.spread_idx[k, t]] += f[k] * plan.spread_val[k, t]
-    g /= geo.N1
-    ghat = g / plan.hat2
+    ghat = g * plan.deconv  # 1/(N1 N2 phi_hat_2) on the coarse grid
     ell = np.arange(K) - K // 2
     t = np.arange(geo.N2)
-    h = np.exp(-2j * np.pi * np.outer(t, ell) / geo.N2) @ ghat / geo.N2
+    h = np.exp(-2j * np.pi * np.outer(t, ell) / geo.N2) @ ghat
     out = np.zeros(geo.M2, dtype=complex)
     for j in range(geo.M2):
         for s in range(2 * geo.m2):
