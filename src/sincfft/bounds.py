@@ -179,7 +179,11 @@ def bound_fast_sinc(epsilon, e1, e2, a, hat_phi1_half, simplified=False):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound ingredients for one parameter set, fully assembled."""
+    """All bound ingredients for one parameter set, fully assembled.
+
+    ``epsilon`` is the surrogate level the fast sinc bounds use and
+    ``b_term = e1 + a e2 / hat_phi1_half`` the two-stage constant.
+    """
 
     N: int
     m1: int
@@ -193,6 +197,8 @@ class BoundReport:
     a: float
     nnfft_bound: float
     cc_bound: float
+    epsilon: float
+    b_term: float
     fast_sinc_bound_full: float
     fast_sinc_bound_simplified: float
     simplified_valid: bool
@@ -209,12 +215,14 @@ def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
     e2 = bound_sinh_E(m2, sigma2)
     hat = hat_phi_sinh_at_half(N, sigma1, m1)
     a = 1.0 + 2.0 * m1 / (sigma1 * N)
-    nnfft = bound_nnfft_sinh(N, sigma1, sigma2, m1, m2)
     cc = bound_cc_sinc(N, nu)
     eps = cc if epsilon is None else float(epsilon)
     B = e1 + a * e2 / hat
-    full = bound_fast_sinc(eps, e1, e2, a, hat)
-    simplified = eps + 3.0 * e1 + 3.0 * a * e2 / hat
-    return BoundReport(int(N), int(m1), int(m2), float(sigma1), float(sigma2),
-                       float(nu), e1, e2, hat, a, nnfft, cc, full, simplified,
-                       bool(B <= 1.0))
+    return BoundReport(
+        N=int(N), m1=int(m1), m2=int(m2), sigma1=float(sigma1),
+        sigma2=float(sigma2), nu=float(nu), e1=e1, e2=e2, hat_phi1_half=hat,
+        a=a, nnfft_bound=bound_nnfft_sinh(N, sigma1, sigma2, m1, m2),
+        cc_bound=cc, epsilon=eps, b_term=B,
+        fast_sinc_bound_full=bound_fast_sinc(eps, e1, e2, a, hat),
+        fast_sinc_bound_simplified=eps + 3.0 * e1 + 3.0 * a * e2 / hat,
+        simplified_valid=bool(B <= 1.0))

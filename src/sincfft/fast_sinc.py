@@ -64,7 +64,9 @@ class SincPlan:
     def error_bound(self):
         """Closed-form accuracy certificate for this plan.
 
-        Only available with sinh windows.  Returns a dict with the
+        Only available with sinh windows and ``m2 >= m1``, where the
+        two-stage bound holds; assembled by
+        :func:`sincfft.bounds.bound_report`.  Returns a dict with the
         surrogate level ``epsilon``, the stage constants ``e1``/``e2``,
         ``a`` and ``hat_phi1_half`` of the rescaled inner geometry, the
         guaranteed ``full`` bound, the ``simplified`` bound and the flag
@@ -75,23 +77,20 @@ class SincPlan:
             raise ParameterError(
                 "error_bound: closed-form bounds require sinh windows")
         geo = self.inner_geometry
-        epsilon = _bounds.bound_cc_sinc(self.N, self.n / self.N)
-        e1 = _bounds.bound_sinh_E(self.m1, self.sigma1)
-        e2 = _bounds.bound_sinh_E(self.m2, geo.sigma2)
-        hat = _bounds.hat_phi_sinh_at_half(geo.N, self.sigma1, self.m1)
-        b_term = e1 + geo.a * e2 / hat
-        full = _bounds.bound_fast_sinc(epsilon, e1, e2, geo.a, hat)
-        simplified = epsilon + 3.0 * e1 + 3.0 * geo.a * e2 / hat
+        nu = self.n / self.N
+        rep = _bounds.bound_report(
+            geo.N, self.m1, self.m2, self.sigma1, geo.sigma2, nu,
+            epsilon=_bounds.bound_cc_sinc(self.N, nu))
         return {
-            "epsilon": epsilon,
-            "e1": e1,
-            "e2": e2,
-            "a": geo.a,
-            "hat_phi1_half": hat,
-            "b_term": b_term,
-            "full": full,
-            "simplified": simplified,
-            "simplified_valid": bool(b_term <= 1.0),
+            "epsilon": rep.epsilon,
+            "e1": rep.e1,
+            "e2": rep.e2,
+            "a": rep.a,
+            "hat_phi1_half": rep.hat_phi1_half,
+            "b_term": rep.b_term,
+            "full": rep.fast_sinc_bound_full,
+            "simplified": rep.fast_sinc_bound_simplified,
+            "simplified_valid": rep.simplified_valid,
         }
 
 

@@ -23,6 +23,15 @@ Four shapes are provided:
 ``kaiser-bessel``
     ``I_0(beta sqrt(1 - x^2)) / I_0(beta)`` on the open interval, zero at
     ``|x| >= 1`` (same ``beta`` as the sinh shape); closed-form transform.
+
+:func:`omega_eval` and :func:`phi_eval` fill one preallocated output in
+blocks of a fixed number of elements.  A plan tabulates millions of window
+values at once and each shape formula needs several temporaries; per
+block they stay in cache and take constant memory instead of growing with
+the table.  Each shape's kernel computes only what that shape needs,
+elementwise in the same order of operations, so the values do not depend
+on the blocking.  Non-finite arguments raise :class:`ParameterError`;
+huge finite ones lie outside the support.
 """
 
 from dataclasses import dataclass
@@ -103,26 +112,107 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
-def omega_eval(spec, x):
-    """Evaluate the shape function ``omega`` of ``spec`` at ``x``."""
+#: Elements per block of :func:`_eval_blocked`: the block's few temporaries
+#: stay in cache and no temporary grows with the input.
+_BLOCK = 16384
+
+
+def _root(y):
+    # y -> s = sqrt(1 - y^2) for |y| < 1 and s = 0 for |y| >= 1, in place
+    np.abs(y, out=y)
+    np.minimum(y, 1.0, out=y)
+    np.multiply(y, y, out=y)
+    np.subtract(1.0, y, out=y)
+    np.sqrt(y, out=y)
+
+
+def _sinh_kernel(spec):
+    b = spec.beta
+    c = -np.expm1(-2.0 * b)
+
+    def kernel(y, tmp):
+        # sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
+        # stable for large b; s = 0 (value 0) outside the support
+        _root(y)
+        np.multiply(y, -2.0 * b, out=tmp)
+        np.expm1(tmp, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.subtract(y, 1.0, out=y)
+        np.multiply(y, b, out=y)
+        np.exp(y, out=y)
+        np.multiply(y, tmp, out=y)
+        np.divide(y, c, out=y)
+    return kernel
+
+
+def _kaiser_bessel_kernel(spec):
+    b = spec.beta
+    i0e_b = _sp.i0e(b)
+
+    def kernel(y, tmp):
+        # I0(b s)/I0(b) = i0e(b s)/i0e(b) e^{b(s-1)} on the open support;
+        # the window jumps to 0 at |x| = 1
+        outside = np.abs(y) >= 1.0
+        _root(y)
+        np.multiply(y, b, out=tmp)
+        _sp.i0e(tmp, out=tmp)
+        np.divide(tmp, i0e_b, out=tmp)
+        np.subtract(y, 1.0, out=y)
+        np.multiply(y, b, out=y)
+        np.exp(y, out=y)
+        np.multiply(tmp, y, out=y)
+        y[outside] = 0.0
+    return kernel
+
+
+def _algebraic_kernel(spec):
+    p = 2.0 * spec.beta - 1.0
+
+    def kernel(y, tmp):
+        _root(y)
+        np.power(y, p, out=y)
+    return kernel
+
+
+def _bspline_kernel(spec):
+    order = 2 * spec.m
+    b0 = cardinal_bspline(order, 0.0)
+
+    def kernel(y, tmp):
+        np.multiply(y, spec.m, out=y)
+        np.divide(cardinal_bspline(order, y), b0, out=y)
+    return kernel
+
+
+_KERNELS = {"sinh": _sinh_kernel, "bspline": _bspline_kernel,
+            "algebraic": _algebraic_kernel,
+            "kaiser-bessel": _kaiser_bessel_kernel}
+
+
+def _eval_blocked(spec, x, scale):
+    # omega(scale * x) into one preallocated output, _BLOCK elements at a
+    # time; arguments are clipped to |x| <= 2/scale (outside the support,
+    # unchanged inside it) so that huge finite ones cannot overflow
     arr, scalar = _as_array(x)
-    inside = np.abs(arr) < 1.0
-    s = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
-    if spec.kind == "sinh":
-        b = spec.beta
-        # sinh(b*s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b});
-        # stable for large b
-        val = np.exp(b * (s - 1.0)) * (-np.expm1(-2.0 * b * s)) / (-np.expm1(-2.0 * b))
-    elif spec.kind == "bspline":
-        val = (cardinal_bspline(2 * spec.m, spec.m * arr)
-               / cardinal_bspline(2 * spec.m, 0.0))
-    elif spec.kind == "algebraic":
-        val = s ** (2.0 * spec.beta - 1.0)
-    else:  # kaiser-bessel
-        b = spec.beta
-        val = _sp.i0e(b * s) / _sp.i0e(b) * np.exp(b * (s - 1.0))
-    out = np.where(inside, val, 0.0)
-    return float(out) if scalar else out
+    src = arr.reshape(-1)
+    out = np.empty(src.size)
+    kernel = _KERNELS[spec.kind](spec)
+    tmp = np.empty(min(_BLOCK, src.size))
+    lim = 2.0 / scale
+    for start in range(0, src.size, _BLOCK):
+        block = src[start:start + _BLOCK]
+        if not np.isfinite(block).all():
+            raise ParameterError("window argument must be finite")
+        y = out[start:start + _BLOCK]
+        np.clip(block, -lim, lim, out=y)
+        np.multiply(y, scale, out=y)
+        kernel(y, tmp[:y.size])
+    return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
+def omega_eval(spec, x):
+    """Evaluate the shape function ``omega`` of ``spec`` at finite ``x``."""
+    return _eval_blocked(spec, x, 1.0)
 
 
 def _bessel_ratio_series(w):
@@ -191,8 +281,8 @@ def omega_hat_eval(spec, v):
 
 
 def phi_eval(spec, t):
-    """Grid window ``phi(t) = omega(n_grid * t / m)``."""
-    return omega_eval(spec, np.asarray(t, dtype=float) * (spec.n_grid / spec.m))
+    """Grid window ``phi(t) = omega(n_grid * t / m)`` at finite ``t``."""
+    return _eval_blocked(spec, t, spec.n_grid / spec.m)
 
 
 def phi_hat_eval(spec, v):

@@ -120,12 +120,14 @@ def test_bound_report_assembles_consistently():
     assert rep.cc_bound == bounds.bound_cc_sinc(128, 4.0)
     assert rep.nnfft_bound == bounds.bound_nnfft_sinh(128, 2.0, 2.0, 6, 6)
     B = rep.e1 + rep.a * rep.e2 / rep.hat_phi1_half
+    assert rep.b_term == B and rep.epsilon == rep.cc_bound
     assert rep.fast_sinc_bound_full == pytest.approx(
         rep.cc_bound + 2 * B + B * B, rel=1e-15)
     assert rep.simplified_valid
     assert rep.fast_sinc_bound_full <= rep.fast_sinc_bound_simplified
     # explicit epsilon overrides the cc level
     rep2 = bounds.bound_report(128, 6, 6, 2.0, 2.0, 4.0, epsilon=1e-3)
+    assert rep2.epsilon == 1e-3 and rep2.cc_bound == rep.cc_bound
     assert rep2.fast_sinc_bound_full == pytest.approx(1e-3 + 2 * B + B * B,
                                                       rel=1e-12)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sincfft import bounds
 from sincfft.direct import sinc_transform_direct
 from sincfft.errors import ParameterError
 from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
@@ -150,3 +151,43 @@ def test_error_bound_requires_sinh():
     # the transform itself still runs
     out = fast_sinc_transform(plan, np.ones(8, dtype=complex))
     assert out.shape == (8,)
+
+
+def _error_bound_by_hand(plan):
+    # the certificate assembled stage by stage from the bound functions,
+    # on the rescaled inner geometry
+    geo = plan.inner_geometry
+    epsilon = bounds.bound_cc_sinc(plan.N, plan.n / plan.N)
+    e1 = bounds.bound_sinh_E(plan.m1, plan.sigma1)
+    e2 = bounds.bound_sinh_E(plan.m2, geo.sigma2)
+    hat = bounds.hat_phi_sinh_at_half(geo.N, plan.sigma1, plan.m1)
+    b_term = e1 + geo.a * e2 / hat
+    return {"epsilon": epsilon, "e1": e1, "e2": e2, "a": geo.a,
+            "hat_phi1_half": hat, "b_term": b_term,
+            "full": bounds.bound_fast_sinc(epsilon, e1, e2, geo.a, hat),
+            "simplified": epsilon + 3.0 * e1 + 3.0 * geo.a * e2 / hat,
+            "simplified_valid": bool(b_term <= 1.0)}
+
+
+@pytest.mark.parametrize("layout", ["general", "both"])
+def test_error_bound_is_the_bound_report(layout):
+    rng = np.random.default_rng(12)
+    N = 64
+    a = _grid(32) if layout == "both" else _random_nodes(rng, 32)
+    b = _grid(N) if layout == "both" else _random_nodes(rng, 40)
+    plan = sinc_plan(N, a, b, m1=5, m2=7, sigma1=1.5, sigma2=1.25)
+    assert plan.mode is (SincMode.EQUISPACED_BOTH if layout == "both"
+                         else SincMode.GENERAL)
+    cert, ref = plan.error_bound(), _error_bound_by_hand(plan)
+    assert cert.keys() == ref.keys()
+    assert cert["simplified_valid"] is ref["simplified_valid"]
+    for key in ref.keys() - {"simplified_valid"}:
+        assert abs(cert[key] - ref[key]) <= np.spacing(ref[key]), key
+
+
+def test_error_bound_requires_m2_at_least_m1():
+    # the two-stage bound the certificate rests on holds for m2 >= m1 only
+    rng = np.random.default_rng(13)
+    plan = sinc_plan(32, _random_nodes(rng, 8), _random_nodes(rng, 8), m1=6, m2=4)
+    with pytest.raises(ParameterError):
+        plan.error_bound()

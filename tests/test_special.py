@@ -1,5 +1,7 @@
 """Bessel, B-spline, and sinc helpers against independent references."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -82,11 +84,35 @@ def _bspline_de_boor(order, x):
     return vals[0]
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 12, 16])
+@pytest.mark.parametrize("order", range(1, 25))
 def test_bspline_matches_de_boor_recurrence(order):
-    x = np.linspace(-order / 2 - 1, order / 2 + 1, 2001)
+    # a fine grid plus every breakpoint, where the pieces meet
+    x = np.concatenate((np.linspace(-order / 2 - 1, order / 2 + 1, 2001),
+                        np.arange(order + 1) - order / 2))
     ref = _bspline_de_boor(order, x)
-    assert np.max(np.abs(cardinal_bspline(order, x) - ref)) <= 1e-15
+    vals = cardinal_bspline(order, x)
+    assert np.max(np.abs(vals - ref)) <= 1e-15
+    # relative accuracy also in the tails, where the values are tiny
+    pos = ref > 0.0
+    assert np.max(np.abs(vals[pos] - ref[pos]) / ref[pos]) <= 4e-15
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 8, 16, 23, 24])
+def test_bspline_is_exactly_even(order):
+    x = np.linspace(-order / 2, order / 2, 4001)[1:-1]
+    x = np.concatenate((x, np.arange(1, order) - order / 2))
+    assert np.array_equal(cardinal_bspline(order, x), cardinal_bspline(order, -x))
+
+
+def test_bspline_rejects_nonfinite_and_ignores_huge_arguments():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError):
+            cardinal_bspline(4, np.array([0.0, bad]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(cardinal_bspline(4, np.array([1e300, -1e300, 1.7e308])) == 0.0)
+    assert cardinal_bspline(4, 0.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert isinstance(cardinal_bspline(4, 0.0), float)
 
 
 def test_bspline_shifted_sum_is_one():

@@ -1,5 +1,8 @@
 """Window shapes: membership in the admissible set and transform accuracy."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sincfft.errors import ParameterError
-from sincfft.windows import (WindowSpec, omega_eval, omega_hat_eval, phi_eval,
-                             phi_hat_eval, window_kinds)
+from sincfft.windows import (_BLOCK, WindowSpec, omega_eval, omega_hat_eval,
+                             phi_eval, phi_hat_eval, window_kinds)
 
 SPECS = {
     "sinh": WindowSpec("sinh", 4, 2.0, 64),
@@ -129,3 +132,72 @@ def test_spec_validation():
     # the non-sinh kinds are not tied to the sinh sigma range
     WindowSpec("bspline", 4, 3.0, 64)
     WindowSpec("kaiser-bessel", 4, 1.1, 64)
+
+
+@pytest.mark.parametrize("kind", window_kinds())
+@pytest.mark.parametrize("shape", [(1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,),
+                                   (2 * _BLOCK + 3,), (_BLOCK // 3, 8)])
+def test_blocks_match_one_element_at_a_time(kind, shape):
+    """Block boundaries do not change a single bit of the result."""
+    spec = SPECS[kind]
+    x = np.random.default_rng(len(shape) * _BLOCK + shape[0]).uniform(
+        -1.1, 1.1, shape)
+    x.flat[:4] = (0.0, 1.0, -1.0, 0.5)
+    t = x * (spec.m / spec.n_grid)
+    # every element near the ends and the block boundaries, and a sample
+    # from the interior of each block
+    n = x.size
+    picks = [np.arange(n)[:64], np.arange(n)[-64:],
+             np.random.default_rng(n).integers(0, n, 256)]
+    picks += [np.arange(max(0, b - 32), min(n, b + 32))
+              for b in range(_BLOCK, n, _BLOCK)]
+    picks = np.unique(np.concatenate(picks))
+    for evaluate, arg in ((omega_eval, x), (phi_eval, t)):
+        out = evaluate(spec, arg)
+        assert out.shape == shape
+        ref = [evaluate(spec, a) for a in arg.flat[picks]]
+        assert np.array_equal(out.flat[picks], ref)
+
+
+@pytest.mark.parametrize("kind", window_kinds())
+def test_scalar_argument_gives_float(kind):
+    spec = SPECS[kind]
+    for evaluate in (omega_eval, phi_eval):
+        val = evaluate(spec, 0.0)
+        assert type(val) is float and val == pytest.approx(1.0, abs=1e-14)
+        assert evaluate(spec, np.float64(0.0)) == val
+
+
+def test_phi_eval_allocates_only_its_output():
+    spec = WindowSpec("sinh", 8, 2.0, 1 << 18)
+    t = np.random.default_rng(7).uniform(-1.0, 1.0, (131072, 16)) * (8 / (1 << 18))
+    tracemalloc.start()
+    try:
+        out = phi_eval(spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes
+
+
+@pytest.mark.parametrize("kind", window_kinds())
+def test_nonfinite_argument_is_rejected(kind):
+    spec = SPECS[kind]
+    for evaluate in (omega_eval, phi_eval):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterError):
+                evaluate(spec, bad)
+            x = np.zeros(2 * _BLOCK + 3)
+            x[-1] = bad  # in the last block only
+            with pytest.raises(ParameterError):
+                evaluate(spec, x)
+
+
+@pytest.mark.parametrize("kind", window_kinds())
+def test_huge_finite_argument_is_outside_the_support(kind):
+    spec = SPECS[kind]
+    x = np.array([1e300, -1e300, np.finfo(float).max, -np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (omega_eval, phi_eval):
+            assert np.all(evaluate(spec, x) == 0.0)
