@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sp
 
 from .errors import ParameterError
-from .special import bessel_i1
 
 #: Decay threshold of the Clenshaw-Curtis sinc surrogate:
 #: ``pi (e^2 - 1) / (2 e)`` (equivalently ``pi * sinh(1)``).
@@ -83,8 +83,10 @@ def hat_phi_sinh_at_half(N, sigma, m):
     N1 = sigma * N
     beta = 2.0 * math.pi * m * (1.0 - 1.0 / (2.0 * sigma))
     arg = 2.0 * math.pi * m * math.sqrt(1.0 - 1.0 / sigma)
-    # I1(arg)/sinh(beta) with the exponentials paired off; arg < beta always
-    ratio = 2.0 * bessel_i1(arg) * math.exp(-beta) / (-math.expm1(-2.0 * beta))
+    # I1(arg)/sinh(beta) with the exponentials paired off (I1(arg) =
+    # i1e(arg) e^arg and arg < beta always), so no factor can overflow
+    ratio = (2.0 * float(_sp.i1e(arg)) * math.exp(arg - beta)
+             / (-math.expm1(-2.0 * beta)))
     return (m * math.pi / N1) * (1.0 - 1.0 / (2.0 * sigma)) * ratio / math.sqrt(
         1.0 - 1.0 / sigma)
 

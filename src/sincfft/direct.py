@@ -119,7 +119,8 @@ def cc_weights_direct(n):
     ``0 <= 2j <= n``, with ``e = 1/2`` at the indices ``0`` and ``n`` and 1
     otherwise.  The phase ``2 j k pi / n`` is reduced modulo ``2 pi`` in
     exact integer arithmetic before the cosine is taken, which keeps the
-    sum accurate for large ``n``.
+    sum accurate for large ``n``; the reduced phases index a table of the
+    ``2 n`` cosines ``cos(p pi / n)``.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError("cc_weights_direct: n must be an integer >= 2")
@@ -130,9 +131,10 @@ def cc_weights_direct(n):
     j = np.arange(n // 2 + 1)
     k = np.arange(n + 1)
     coef = halved_ends(2 * j) * (2.0 / (1.0 - 4.0 * j * j))
+    cosines = np.cos((np.pi / n) * np.arange(2 * n))
     out = np.empty(n + 1)
     for lo in range(0, n + 1, _CHUNK):
         kb = k[lo:lo + _CHUNK]
         phase = (2 * np.outer(j, kb)) % (2 * n)
-        out[lo:lo + kb.size] = coef @ np.cos((np.pi / n) * phase)
+        out[lo:lo + kb.size] = coef @ cosines[phase]
     return (halved_ends(k) / n) * out

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from .errors import ParameterError
-from .nfft import as_coefficients, nfft_adjoint, nfft_plan, nfft_trafo
+from .nfft import (as_coefficients, grid_length, nfft_adjoint, nfft_plan,
+                   nfft_trafo)
 from .nnfft import NnfftGeometry, fast_bandwidth, nnfft_plan, nnfft_trafo
 from .sinc_approx import cc_quadrature
 
@@ -102,13 +103,6 @@ def _is_even_grid(nodes, L, scale):
     return bool(np.max(np.abs(nodes - grid)) <= _GRID_TOL)
 
 
-def _nfft_admissible(L, sigma, m):
-    # the conditions nfft_plan(L, ..., sigma=sigma, m=m) puts on its grid
-    n_over = int(round(sigma * L))
-    return (abs(sigma * L - n_over) <= 1e-9 and n_over % 2 == 0
-            and 2 * m <= n_over // 2)
-
-
 def _wrap_half(t):
     # map to the half-open period [-1/2, 1/2)
     return np.mod(t + 0.5, 1.0) - 0.5
@@ -168,8 +162,8 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
     sources_grid = _is_even_grid(a, a.size, a.size)
     targets_grid = (b.size == N) and (N % 2 == 0) and _is_even_grid(b, int(N), int(N))
     if mode is None:
-        auto_sources = sources_grid and _nfft_admissible(a.size, sigma1, m1)
-        auto_targets = targets_grid and _nfft_admissible(int(N), sigma1, m1)
+        auto_sources = sources_grid and grid_length(a.size, sigma1, m1) is not None
+        auto_targets = targets_grid and grid_length(int(N), sigma1, m1) is not None
         mode = (SincMode.EQUISPACED_BOTH if auto_sources and auto_targets
                 else SincMode.EQUISPACED_SOURCES if auto_sources
                 else SincMode.EQUISPACED_TARGETS if auto_targets

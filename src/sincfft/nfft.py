@@ -64,6 +64,16 @@ def stencil_matrix(idx, val, n_cols):
                                   shape=(idx.shape[0], n_cols))
 
 
+def grid_length(n, sigma, m):
+    """The oversampled grid length ``sigma * n`` of a stage with cut-off
+    ``m``, or ``None`` unless it is an even integer (within 1e-9) with
+    ``4 m <= sigma * n``."""
+    n_grid = int(round(sigma * n))
+    if abs(sigma * n - n_grid) > 1e-9 or n_grid % 2 or 4 * m > n_grid:
+        return None
+    return n_grid
+
+
 def as_coefficients(values, size, who):
     """``values`` as a contiguous complex vector; raises
     :class:`ParameterError` unless its shape is ``(size,)`` and it is finite."""
@@ -78,20 +88,18 @@ def as_coefficients(values, size, who):
 def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     """Build an :class:`NfftPlan` for polynomial degree ``N`` at ``nodes``.
 
-    ``sigma * N`` must be an even integer and ``2m <= sigma * N / 2``.
+    ``sigma * N`` must be an even integer with ``4m <= sigma * N``
+    (:func:`grid_length`).
     Nodes must satisfy ``|x| <= 1/2`` (a 1e-12 overhang is clamped); the
     transform treats them 1-periodically.
     """
     if not isinstance(N, (int, np.integer)) or N <= 0 or N % 2:
         raise ParameterError("nfft_plan: N must be a positive even integer")
-    n_over_f = sigma * N
-    n_over = int(round(n_over_f))
-    if abs(n_over_f - n_over) > 1e-9 or n_over % 2:
+    n_over = grid_length(N, sigma, m)
+    if n_over is None:
         raise ParameterError(
-            f"nfft_plan: sigma*N must be an even integer, got {n_over_f}")
-    if 2 * m > n_over // 2:
-        raise ParameterError(
-            f"nfft_plan: need 2*m <= sigma*N/2, got 2*{m} > {n_over // 2}")
+            f"nfft_plan: sigma*N must be an even integer >= 4m, got "
+            f"sigma*N = {sigma * N} with m = {m}")
     x = np.ascontiguousarray(nodes, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ParameterError("nfft_plan: nodes must be a nonempty 1-d array")

@@ -4,13 +4,15 @@ Approximates, for arbitrary frequencies ``v_k`` and spatial nodes ``x_j``,
 
     f(x_j) = sum_k f_k e^{-2 pi i N v_k x_j},
 
-by spreading each frequency onto a first oversampled grid (window
-``phi_1``), deconvolving with the transform of a second window ``phi_2``,
-one FFT onto a finer grid, gathering around each spatial node with
-``phi_2``, and finally dividing by ``phi_hat_1`` at the nodes.  Cost is
+by spreading each frequency onto a first oversampled grid of
+``K = N1 + 2 m1`` points (window ``phi_1``), evaluating the trigonometric
+polynomial of degree ``K`` these grid values define at the nodes
+``x_j / sigma1`` with a classical NFFT (window ``phi_2`` on its grid of
+``N2`` points), and finally dividing by ``N1 phi_hat_1(N x_j)``.  Cost is
 ``O(m1 M1 + N2 log N2 + m2 M2)`` instead of ``O(M1 M2)``.
 
-Each gridding stage is one sparse stencil matrix built at plan time.
+The spread is one sparse stencil matrix built at plan time; the second
+stage is an :class:`~sincfft.nfft.NfftPlan`.
 
 Frequencies must satisfy ``|v_k| <= 1/(2a)`` with ``a = 1 + 2 m1 / N1``;
 :func:`rescale_frequencies` maps data given on ``[-1/2, 1/2]`` onto an
@@ -26,7 +28,8 @@ import scipy.fft
 
 from . import fft_core
 from .errors import ParameterError, PositivityError
-from .nfft import as_coefficients, stencil_matrix
+from .nfft import (as_coefficients, grid_length, nfft_plan, nfft_trafo,
+                   stencil_matrix)
 from .windows import WindowSpec, phi_eval, phi_hat_eval
 
 _DOMAIN_TOL = 1e-12
@@ -66,14 +69,11 @@ class NnfftGeometry:
         if not sigma1 > 1.0 or not sigma2 > 1.0:
             raise ParameterError("sigma1 and sigma2 must be > 1")
 
-        n1f = sigma1 * N
-        N1 = int(round(n1f))
-        if abs(n1f - N1) > 1e-9 or N1 % 2:
+        N1 = grid_length(N, sigma1, m1)
+        if N1 is None:
             raise ParameterError(
-                f"sigma1*N must be an even integer, got {n1f}")
-        if 2 * m1 > N1 // 2:
-            raise ParameterError(
-                f"need 2*m1 <= N1/2, got 2*{m1} > {N1 // 2}")
+                f"sigma1*N must be an even integer >= 4*m1, got "
+                f"sigma1*N = {sigma1 * N} with m1 = {m1}")
 
         K = N1 + 2 * m1
         n2f = sigma2 * K
@@ -95,33 +95,29 @@ class NnfftGeometry:
 
 
 class NnfftPlan:
-    """Precomputed tables for one (frequencies, nodes) pair.
+    """Precomputed stages for one (frequencies, nodes) pair.
 
     ``spread_idx``/``spread_val`` (int32/float, shape (M1, 2 m1)) hold the
     coarse-grid positions ``0..K-1`` (``K = N1 + 2 m1``) and ``phi_1``
     values of each frequency; ``spread`` is the K x M1 CSC matrix made of
-    them.  ``gather_idx``/``gather_val`` (shape (M2, 2 m2)) hold the
-    fine-grid positions (mod ``N2``) and ``phi_2`` values of each node;
-    ``gather`` is the M2 x N2 CSR matrix made of them.  Both matrices share
-    the tables' memory.  ``deconv = 1/(N1 N2 phi_hat_2)`` on the coarse
-    grid; ``hat1 = phi_hat_1(N x_j)`` at the nodes.
+    them, sharing their memory.  ``stage2`` is the NFFT of degree ``K`` at
+    the nodes ``-x_j / sigma1`` with window ``window2``, and the only copy
+    of the nodes the plan keeps: the minus sign turns its
+    ``e^{+2 pi i l t}`` into the ``e^{-2 pi i l x_j / sigma1}`` of the
+    transform.  ``scale = 1/(N1 phi_hat_1(N x_j))`` at the nodes.
     """
 
-    def __init__(self, geometry, window1, window2, v, x,
-                 spread_idx, spread_val, gather_idx, gather_val, hat1, deconv):
+    def __init__(self, geometry, window1, v, spread_idx, spread_val,
+                 stage2, scale):
         self.geometry = geometry
         self.window1 = window1
-        self.window2 = window2
+        self.window2 = stage2.window
         self.v = v
-        self.x = x
         self.spread_idx = spread_idx
         self.spread_val = spread_val
-        self.gather_idx = gather_idx
-        self.gather_val = gather_val
-        self.hat1 = hat1
-        self.deconv = deconv
-        self.spread = stencil_matrix(spread_idx, spread_val, deconv.size).T
-        self.gather = stencil_matrix(gather_idx, gather_val, geometry.N2)
+        self.stage2 = stage2
+        self.scale = scale
+        self.spread = stencil_matrix(spread_idx, spread_val, stage2.degree).T
 
 
 def fast_bandwidth(N, sigma1, m1):
@@ -132,9 +128,8 @@ def fast_bandwidth(N, sigma1, m1):
     then has no prime factor above 11."""
     start = int(N) + math.ceil(2 * m1 / sigma1)
     for n_star in range(start, start + 100000):
-        n1 = round(sigma1 * n_star)
-        if (abs(sigma1 * n_star - n1) <= 1e-9 and n1 % 2 == 0 and 4 * m1 <= n1
-                and scipy.fft.next_fast_len(n1 + 2 * m1) == n1 + 2 * m1):
+        n1 = grid_length(n_star, sigma1, m1)
+        if n1 is not None and scipy.fft.next_fast_len(n1 + 2 * m1) == n1 + 2 * m1:
             return n_star
     raise ParameterError(f"no admissible bandwidth found for sigma1={sigma1}")
 
@@ -203,54 +198,32 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     x = np.clip(x, -0.5, 0.5)
 
     w1 = WindowSpec(window1, geo.m1, geo.sigma1, geo.N1)
-    w2 = WindowSpec(window2, geo.m2, geo.sigma2, geo.N2)
-
     hat1 = np.asarray(phi_hat_eval(w1, geo.N * x), dtype=float)
     if np.any(hat1 <= 0.0):
         raise PositivityError(
             "nnfft_plan: phi_hat_1(N x_j) must be strictly positive at every node")
+    hat1 *= geo.N1
+    scale = np.reciprocal(hat1, out=hat1)  # 1/(N1 phi_hat_1(N x_j))
     K = geo.N1 + 2 * geo.m1
-    hat2 = np.asarray(phi_hat_eval(w2, np.arange(K) - K // 2), dtype=float)
-    if np.any(hat2 <= 0.0):
-        raise PositivityError(
-            "nnfft_plan: phi_hat_2 must be strictly positive on the coarse grid")
 
     # spreading table: phi_1(l/N1 - v_k) on the fixed 2*m1 stencil around
-    # floor(N1 v_k); the support never leaves the padded index range, so
-    # out-of-range entries (window zeros at the stencil boundary) are clipped
+    # floor(N1 v_k); |v_k| <= 1/(2a) keeps it inside 0..K-1
     spos = (np.floor(geo.N1 * v).astype(np.int32)[:, None]
             + np.arange(1 - geo.m1, geo.m1 + 1, dtype=np.int32))
     sval = np.asarray(phi_eval(w1, spos / geo.N1 - v[:, None]), dtype=float)
     spos += K // 2
-    bad = (spos < 0) | (spos >= K)
-    if np.any(bad):
-        sval[bad] = 0.0
-        np.clip(spos, 0, K - 1, out=spos)
 
-    # gathering table: phi_2(x_j/sigma1 - s/N2), indexed mod N2 because the
-    # fine-grid values are N2-periodic
-    xs = x * (geo.N / geo.N1)  # x/sigma1 with the exact grid ratio
-    gpos = (np.floor(geo.N2 * xs).astype(np.int32)[:, None]
-            + np.arange(1 - geo.m2, geo.m2 + 1, dtype=np.int32))
-    gval = np.asarray(phi_eval(w2, xs[:, None] - gpos / geo.N2), dtype=float)
-    np.mod(gpos, geo.N2, out=gpos)
+    # second stage: the NFFT of degree K at -x_j/sigma1 (with the exact
+    # grid ratio N/N1)
+    stage2 = nfft_plan(K, x * (-geo.N / geo.N1), sigma=geo.sigma2, m=geo.m2,
+                       window=window2)
 
-    return NnfftPlan(geo, w1, w2, v, x, spos, sval, gpos, gval, hat1,
-                     1.0 / (geo.N1 * geo.N2 * hat2))
+    return NnfftPlan(geo, w1, v, spos, sval, stage2, scale)
 
 
 def nnfft_trafo(plan, f):
     """Evaluate ``sum_k f_k e^{-2 pi i N v_k x_j}`` at all plan nodes for
     ``M1`` finite coefficients ``f``; returns ``M2`` complex values."""
-    geo = plan.geometry
-    f = as_coefficients(f, geo.M1, "nnfft_trafo")
-    h = (geo.N1 + 2 * geo.m1) // 2
-
-    # spread onto the coarse grid, deconvolve with the second window and
-    # place the grid, centred, into the buffer of one FFT onto the fine grid
-    g = fft_core.sparse_apply(plan.spread, f) * plan.deconv
-    buf = np.zeros(geo.N2, dtype=complex)
-    buf[:h], buf[-h:] = g[h:], g[:h]
-
-    # gather at the spatial nodes and undo the first window in Fourier space
-    return fft_core.sparse_apply(plan.gather, fft_core.fft(buf, "forward")) / plan.hat1
+    f = as_coefficients(f, plan.geometry.M1, "nnfft_trafo")
+    g = fft_core.sparse_apply(plan.spread, f)
+    return nfft_trafo(plan.stage2, g) * plan.scale

@@ -1,8 +1,7 @@
 """Scalar special functions used by the window machinery.
 
-A validated wrapper around :func:`scipy.special.i1`, the centered cardinal
-B-spline and the unnormalized sinc function.  All functions accept scalars
-or arrays and return a scalar for scalar input.
+The centered cardinal B-spline and the unnormalized sinc function.  Both
+accept scalars or arrays and return a scalar for scalar input.
 
 The B-spline is a piecewise polynomial: one polynomial per unit piece
 between consecutive breakpoints, with coefficients built once per order from
@@ -18,7 +17,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import ParameterError
 
@@ -28,36 +26,6 @@ def _prepare(x, name):
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name}: argument must be finite")
     return arr, arr.ndim == 0
-
-
-def bessel_i1(x):
-    """Modified Bessel function of the first kind of order 1.
-
-    Parameters
-    ----------
-    x : float or array_like
-        Nonnegative argument.
-
-    Returns
-    -------
-    float or ndarray
-        ``I_1(x)``.
-
-    Raises
-    ------
-    ParameterError
-        If ``x`` is negative or not finite.
-    OverflowError
-        If ``e**x`` exceeds the double-precision range (x > ~709), where
-        the result is no longer representable.
-    """
-    arr, scalar = _prepare(x, "bessel_i1")
-    if np.any(arr < 0.0):
-        raise ParameterError("bessel_i1: argument must be >= 0")
-    out = _sp.i1(arr)
-    if np.any(np.isinf(out)):
-        raise OverflowError("bessel_i1: result overflows double precision")
-    return float(out) if scalar else out
 
 
 @functools.lru_cache(maxsize=32)

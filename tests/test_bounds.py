@@ -43,6 +43,21 @@ def test_hat_phi_half_matches_window_transform():
         assert closed == pytest.approx(via_window, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [1.25, 2.0])
+@pytest.mark.parametrize("m", [2, 8, 200])
+def test_hat_phi_half_matches_mpmath(m, sigma):
+    # the closed form in extended precision; I1(arg) alone overflows a
+    # double from m of about 160 at sigma = 2
+    N = 128
+    with mpmath.workdps(40):
+        s = mpmath.mpf(sigma)
+        beta = 2 * mpmath.pi * m * (1 - 1 / (2 * s))
+        arg = 2 * mpmath.pi * m * mpmath.sqrt(1 - 1 / s)
+        ref = (m * mpmath.pi / (s * N) * (1 - 1 / (2 * s)) / mpmath.sqrt(1 - 1 / s)
+               * mpmath.besseli(1, arg) / mpmath.sinh(beta))
+    assert bounds.hat_phi_sinh_at_half(N, sigma, m) == pytest.approx(float(ref), rel=1e-12)
+
+
 @pytest.mark.parametrize("sigma", [1.25, 1.5, 2.0])
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
 @pytest.mark.parametrize("N", [64, 128, 1200])

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sincfft import bounds
 from sincfft.direct import nndft_direct
 from sincfft.errors import ParameterError
+from sincfft.nfft import NfftPlan
 from sincfft.nnfft import (NnfftGeometry, nnfft_plan, nnfft_trafo,
                            rescale_frequencies)
 
@@ -104,14 +105,38 @@ def test_rescaled_bandwidth_is_smallest_admissible_with_fast_fft(N, sigma1, m1, 
 
 def test_stencil_matrices_share_the_tables():
     rng = np.random.default_rng(5)
-    plan = nnfft_plan(32, rng.uniform(-0.4, 0.4, 7), rng.uniform(-0.5, 0.5, 9),
-                      m1=3, m2=3)
-    K = plan.geometry.N1 + 2 * 3
-    assert plan.spread.shape == (K, 7) and plan.gather.shape == (9, plan.geometry.N2)
+    x = rng.uniform(-0.5, 0.5, 9)
+    plan = nnfft_plan(32, rng.uniform(-0.4, 0.4, 7), x, m1=3, m2=3)
+    geo = plan.geometry
+    K = geo.N1 + 2 * 3
+    assert plan.spread.shape == (K, 7)
+    # the second stage is the NFFT of degree K at -x/sigma1 on the fine grid
+    stage2 = plan.stage2
+    assert isinstance(stage2, NfftPlan)
+    assert (stage2.degree, stage2.n_over) == (K, geo.N2)
+    assert stage2.window == plan.window2
+    assert np.array_equal(stage2.nodes, x * (-geo.N / geo.N1))
+    assert stage2.gather.shape == (9, geo.N2)
     for op, idx, val in ((plan.spread, plan.spread_idx, plan.spread_val),
-                         (plan.gather, plan.gather_idx, plan.gather_val)):
+                         (stage2.gather, stage2.spread_idx, stage2.spread_val)):
         assert idx.dtype == np.int32
         assert np.shares_memory(op.indices, idx) and np.shares_memory(op.data, val)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sigma1=st.sampled_from([1.25, 1.5, 2.0]),
+       k=st.integers(min_value=1, max_value=20000),
+       m1=st.integers(min_value=2, max_value=12))
+def test_spread_stays_on_the_coarse_grid(sigma1, k, m1):
+    # N a multiple of the smallest N with sigma1 N even; |v| up to 1/(2a)
+    N = {1.25: 8, 1.5: 4, 2.0: 1}[sigma1] * k
+    assume(4 * m1 <= sigma1 * N)
+    geo = NnfftGeometry.from_parameters(N, 3, 1, sigma1, 2.0, m1, 2)
+    vmax = 0.5 / geo.a
+    plan = nnfft_plan(N, np.array([-vmax, 0.0, vmax]), np.array([0.25]),
+                      sigma1=sigma1, m1=m1, m2=2)
+    K = geo.N1 + 2 * m1
+    assert np.all((plan.spread_idx >= 0) & (plan.spread_idx < K))
 
 
 def test_rescale_then_transform_matches_direct():
@@ -151,22 +176,25 @@ def test_single_frequency_wave():
 
 
 def _slow_reference(plan, f):
-    """Re-run the three stages with explicit loops and an O(K N2) DFT."""
+    """Re-run the stages with explicit loops and an O(K N2) DFT: the spread,
+    then the second-stage NFFT (deconvolve, DFT onto the fine grid, gather)
+    from its own tables, then the scaling at the nodes."""
     geo = plan.geometry
+    stage2 = plan.stage2
     K = geo.N1 + 2 * geo.m1
     g = np.zeros(K, dtype=complex)
     for k in range(geo.M1):
         for t in range(2 * geo.m1):
             g[plan.spread_idx[k, t]] += f[k] * plan.spread_val[k, t]
-    ghat = g * plan.deconv  # 1/(N1 N2 phi_hat_2) on the coarse grid
+    ghat = g * stage2.deconv  # 1/(N2 phi_hat_2) on I_K
     ell = np.arange(K) - K // 2
     t = np.arange(geo.N2)
-    h = np.exp(-2j * np.pi * np.outer(t, ell) / geo.N2) @ ghat
+    h = np.exp(2j * np.pi * np.outer(t, ell) / geo.N2) @ ghat
     out = np.zeros(geo.M2, dtype=complex)
     for j in range(geo.M2):
         for s in range(2 * geo.m2):
-            out[j] += h[plan.gather_idx[j, s]] * plan.gather_val[j, s]
-    return out / plan.hat1
+            out[j] += h[stage2.spread_idx[j, s]] * stage2.spread_val[j, s]
+    return out * plan.scale  # 1/(N1 phi_hat_1(N x_j))
 
 
 def test_vectorized_stages_match_loop_reference():

@@ -1,50 +1,12 @@
-"""Bessel, B-spline, and sinc helpers against independent references."""
+"""B-spline and sinc helpers against independent references."""
 
 import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from sincfft.errors import ParameterError
-from sincfft.special import bessel_i1, cardinal_bspline, sinc
-
-# reference values computed independently (series / library cross-check)
-# and frozen before the wrappers were written
-I1_REFERENCE = {
-    1.0: 0.565159103992485,
-    10.0: 2670.988303701255,
-}
-
-
-def test_i1_frozen_values():
-    for x, ref in I1_REFERENCE.items():
-        assert bessel_i1(x) == pytest.approx(ref, rel=1e-14)
-
-
-def test_i1_small_argument_series():
-    # I1(x) = x/2 + x^3/16 + x^5/384 + O(x^7)
-    for x in (1e-4, 1e-3, 1e-2):
-        series = x / 2.0 + x ** 3 / 16.0 + x ** 5 / 384.0
-        assert bessel_i1(x) == pytest.approx(series, rel=1e-12)
-
-
-@pytest.mark.parametrize("x", [0.5, 2.0, 10.0, 40.0])
-def test_i1_integral_representation(x):
-    # I1(x) = (1/pi) int_0^pi exp(x cos t) cos t dt
-    val, err = quad(lambda t: np.exp(x * np.cos(t)) * np.cos(t), 0.0, np.pi,
-                    limit=200)
-    assert bessel_i1(x) == pytest.approx(val / np.pi, rel=1e-11)
-
-
-def test_i1_rejects_negative():
-    with pytest.raises(ParameterError):
-        bessel_i1(-1.0)
-
-
-def test_i1_overflow_signals():
-    with pytest.raises(OverflowError):
-        bessel_i1(1e4)
+from sincfft.special import cardinal_bspline, sinc
 
 
 def test_bspline_known_center_values():
