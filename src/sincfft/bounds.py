@@ -12,6 +12,7 @@ choice.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +62,26 @@ def bound_general_window(c1, c2, mu, m, sigma, omega_hat_at):
     return (2.0 * c1 + tail) / omega_hat_at
 
 
+def _log_sinh_E(m, sigma):
+    return math.log(24.0 * m ** 1.5 + 10.0) - 2.0 * math.pi * m * math.sqrt(1.0 - 1.0 / sigma)
+
+
 def bound_sinh_E(m, sigma):
     """Single-stage gridding error constant of the sinh-type window:
     ``(24 m^{3/2} + 10) e^{-2 pi m sqrt(1 - 1/sigma)}``."""
     _check_sinh_params(m, sigma, "bound_sinh_E")
-    return (24.0 * m ** 1.5 + 10.0) * math.exp(
-        -2.0 * math.pi * m * math.sqrt(1.0 - 1.0 / sigma))
+    return math.exp(_log_sinh_E(m, sigma))
+
+
+def _log_hat_phi_sinh_at_half(N, sigma, m):
+    beta = 2.0 * math.pi * m * (1.0 - 1.0 / (2.0 * sigma))
+    arg = 2.0 * math.pi * m * math.sqrt(1.0 - 1.0 / sigma)
+    # I1(arg)/sinh(beta) with the exponentials paired off (I1(arg) =
+    # i1e(arg) e^arg and arg < beta always)
+    log_ratio = (math.log(2.0 * float(_sp.i1e(arg))) + (arg - beta)
+                 - math.log(-math.expm1(-2.0 * beta)))
+    return (math.log(m * math.pi / (sigma * N)) + math.log(1.0 - 1.0 / (2.0 * sigma))
+            - 0.5 * math.log(1.0 - 1.0 / sigma) + log_ratio)
 
 
 def hat_phi_sinh_at_half(N, sigma, m):
@@ -75,27 +90,23 @@ def hat_phi_sinh_at_half(N, sigma, m):
         (m pi / (N1 sinh beta)) (1 - 1/(2 sigma)) (1 - 1/sigma)^(-1/2)
             * I_1(2 pi m sqrt(1 - 1/sigma)),
 
-    with ``N1 = sigma N`` and ``beta = 2 pi m (1 - 1/(2 sigma))``.
+    with ``N1 = sigma N`` and ``beta = 2 pi m (1 - 1/(2 sigma))``; it
+    underflows to 0 for ``m`` in the thousands.
     """
     _check_sinh_params(m, sigma, "hat_phi_sinh_at_half")
     if N <= 0:
         raise ParameterError("hat_phi_sinh_at_half: N must be positive")
-    N1 = sigma * N
-    beta = 2.0 * math.pi * m * (1.0 - 1.0 / (2.0 * sigma))
-    arg = 2.0 * math.pi * m * math.sqrt(1.0 - 1.0 / sigma)
-    # I1(arg)/sinh(beta) with the exponentials paired off (I1(arg) =
-    # i1e(arg) e^arg and arg < beta always), so no factor can overflow
-    ratio = (2.0 * float(_sp.i1e(arg)) * math.exp(arg - beta)
-             / (-math.expm1(-2.0 * beta)))
-    return (m * math.pi / N1) * (1.0 - 1.0 / (2.0 * sigma)) * ratio / math.sqrt(
-        1.0 - 1.0 / sigma)
+    return math.exp(_log_hat_phi_sinh_at_half(N, sigma, m))
 
 
 def bound_nnfft_sinh(N, sigma1, sigma2, m1, m2):
     """Error constant of the two-stage transform with sinh windows.
 
     Valid for ``m2 >= m1 >= 2`` and oversampling factors in ``[5/4, 2]``;
-    decreasing in both cut-offs for fixed oversampling.
+    decreasing in both cut-offs for fixed oversampling.  The second term,
+    a factor growing like ``e^{2 pi m1 (1 - sqrt(1 - 1/sigma1) - 1/(2 sigma1))}``
+    times the faster decaying ``bound_sinh_E(m2, sigma2)``, is summed in
+    the exponent, so no cut-off overflows it.
     """
     _check_sinh_params(m1, sigma1, "bound_nnfft_sinh")
     _check_sinh_params(m2, sigma2, "bound_nnfft_sinh")
@@ -104,10 +115,10 @@ def bound_nnfft_sinh(N, sigma1, sigma2, m1, m2):
     if N <= 0:
         raise ParameterError("bound_nnfft_sinh: N must be positive")
     N1 = sigma1 * N
-    factor = ((2.0 * N1 + 4.0 * m1) / math.sqrt(2.0 * m1 * math.pi)
-              * math.exp(2.0 * math.pi * m1 * (1.0 - math.sqrt(1.0 - 1.0 / sigma1)
-                                               - 1.0 / (2.0 * sigma1))))
-    return bound_sinh_E(m1, sigma1) + factor * bound_sinh_E(m2, sigma2)
+    log_factor = (math.log((2.0 * N1 + 4.0 * m1) / math.sqrt(2.0 * m1 * math.pi))
+                  + 2.0 * math.pi * m1 * (1.0 - math.sqrt(1.0 - 1.0 / sigma1)
+                                          - 1.0 / (2.0 * sigma1)))
+    return bound_sinh_E(m1, sigma1) + math.exp(log_factor + _log_sinh_E(m2, sigma2))
 
 
 def bound_cc_sinc(N, nu):
@@ -213,18 +224,25 @@ def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
     The ``simplified`` value is reported even when its validity condition
     fails; ``simplified_valid`` says whether it may be used.
     """
+    nnfft = bound_nnfft_sinh(N, sigma1, sigma2, m1, m2)  # checks the parameters
     e1 = bound_sinh_E(m1, sigma1)
     e2 = bound_sinh_E(m2, sigma2)
     hat = hat_phi_sinh_at_half(N, sigma1, m1)
     a = 1.0 + 2.0 * m1 / (sigma1 * N)
     cc = bound_cc_sinc(N, nu)
     eps = cc if epsilon is None else float(epsilon)
-    B = e1 + a * e2 / hat
+    # e2/hat, with e2 decaying faster than hat; once hat leaves the normal
+    # range (m1 in the thousands) the quotient is formed in the exponent
+    num, den = e2, hat
+    if hat < sys.float_info.min:
+        num, den = math.exp(_log_sinh_E(m2, sigma2)
+                            - _log_hat_phi_sinh_at_half(N, sigma1, m1)), 1.0
+    B = e1 + a * num / den
     return BoundReport(
         N=int(N), m1=int(m1), m2=int(m2), sigma1=float(sigma1),
         sigma2=float(sigma2), nu=float(nu), e1=e1, e2=e2, hat_phi1_half=hat,
-        a=a, nnfft_bound=bound_nnfft_sinh(N, sigma1, sigma2, m1, m2),
+        a=a, nnfft_bound=nnfft,
         cc_bound=cc, epsilon=eps, b_term=B,
-        fast_sinc_bound_full=bound_fast_sinc(eps, e1, e2, a, hat),
-        fast_sinc_bound_simplified=eps + 3.0 * e1 + 3.0 * a * e2 / hat,
+        fast_sinc_bound_full=bound_fast_sinc(eps, e1, num, a, den),
+        fast_sinc_bound_simplified=eps + 3.0 * e1 + 3.0 * a * num / den,
         simplified_valid=bool(B <= 1.0))

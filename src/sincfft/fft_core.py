@@ -1,8 +1,9 @@
 """Uniform transform kernels the fast algorithms are built on.
 
-An unnormalized complex FFT of arbitrary length and the orthogonal
-(self-inverse) cosine transform of type I, both from pocketfft, and the
-product of a real sparse stencil matrix with a complex vector.
+An unnormalized complex FFT of arbitrary length, also as interleaved
+blocks and in place, and the orthogonal (self-inverse) cosine transform
+of type I, both from pocketfft, and the product of a real sparse stencil
+matrix with a complex vector.
 """
 
 import numpy as np
@@ -11,20 +12,29 @@ import scipy.fft
 from .errors import ParameterError
 
 
-def fft(values, direction="forward"):
+def fft(values, direction="forward", *, blocks=1, overwrite=False):
     """Unnormalized discrete Fourier transform of a 1-d complex array.
 
     ``forward`` computes ``X_s = sum_l x_l e^{-2 pi i l s / L}``;
     ``inverse`` flips the sign of the exponent and applies no scaling, so
     ``fft(fft(x), "inverse") == L * x``.
+
+    With ``blocks=P`` (a divisor of ``L``) the array is read as ``L/P``
+    rows of ``P`` values and each column, the subsequence ``x[s::P]``, is
+    transformed on its own with length ``L/P``; the result keeps that
+    layout.  ``overwrite=True`` lets the result reuse the memory of a
+    complex ``values``.
     """
     v = np.asarray(values)
     if v.ndim != 1 or v.size == 0:
         raise ParameterError("fft: need a nonempty 1-d array")
+    if not isinstance(blocks, (int, np.integer)) or blocks < 1 or v.size % blocks:
+        raise ParameterError(f"fft: blocks must be a positive divisor of {v.size}")
+    cols = v.reshape(-1, blocks)
     if direction == "forward":
-        return scipy.fft.fft(v)
+        return scipy.fft.fft(cols, axis=0, overwrite_x=overwrite).ravel()
     if direction == "inverse":
-        return scipy.fft.ifft(v, norm="forward")
+        return scipy.fft.ifft(cols, axis=0, norm="forward", overwrite_x=overwrite).ravel()
     raise ParameterError(f"fft: direction must be 'forward' or 'inverse', got {direction!r}")
 
 

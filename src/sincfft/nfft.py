@@ -3,8 +3,14 @@
 The forward transform approximates ``p(x_j) = sum_{k in I_N} c_k
 e^{2 pi i k x_j}`` by deconvolution on an oversampled grid of ``sigma * N``
 points, one FFT, and a short gather around each node; the adjoint is the
-exact conjugate transpose of the same three stages, so the pair satisfies
-the inner-product identity to rounding accuracy.
+conjugate transpose of the same three stages, so the pair satisfies the
+inner-product identity to rounding accuracy.
+
+The deconvolution is fused into the copy that fills the FFT buffer (or
+crops it, in the adjoint), and the FFT runs in place on that buffer as
+``P`` interleaved FFTs of length ``sigma * N / P >= N`` (:func:`block_count`):
+with ``sigma = 2`` the band fills two half-length FFTs instead of half of
+one zero-padded FFT.
 """
 
 import numpy as np
@@ -30,15 +36,28 @@ class NfftPlan:
     nodes : ndarray, shape (M,)
         Spatial nodes in ``[-1/2, 1/2]``.
     spread_idx, spread_val : int32 and float ndarrays, shape (M, 2m)
-        Grid positions (mod ``n_over``) each node touches, window values.
-    deconv : ndarray, shape (N,)
-        ``1 / (n_over * phi_hat)`` on ``I_N`` (``phi_hat > 0`` there).
+        Grid positions (mod ``n_over``) each node touches and their
+        weights: the window values, times a factor per row when the plan
+        is a stage of a larger transform (an NNFFT's ``stage2`` carries
+        ``1/(N1 phi_hat_1(N x_j))``, see :class:`~sincfft.nnfft.NnfftPlan`).
+    deconv : ndarray, shape (N + 1,)
+        ``1 / (n_over * phi_hat(k))`` for ``k = -N/2 .. N/2`` (``phi_hat > 0``
+        there); the last entry serves the adjoint only.
+    blocks : int
+        The grid FFT runs as ``P = blocks`` interleaved FFTs of length
+        ``Q = n_over / P``, the largest ``P`` with ``Q >= N``
+        (:func:`block_count`).
+    twiddle : complex ndarray, shape (P - 1, N + 1)
+        ``1 / (n_over * phi_hat(k)) * e^{2 pi i k s / n_over}`` for
+        ``s = 1 .. P-1`` and ``k = -N/2 .. N/2``; ``deconv`` plays the
+        part of ``s = 0``.
     gather : scipy.sparse.csr_array, shape (M, n_over)
         The two tables as one matrix sharing their memory; the adjoint
         spreads with its transpose.
     """
 
-    def __init__(self, degree, n_over, window, nodes, spread_idx, spread_val, deconv):
+    def __init__(self, degree, n_over, window, nodes, spread_idx, spread_val,
+                 deconv, twiddle):
         self.degree = degree
         self.n_over = n_over
         self.window = window
@@ -46,6 +65,8 @@ class NfftPlan:
         self.spread_idx = spread_idx
         self.spread_val = spread_val
         self.deconv = deconv
+        self.blocks = twiddle.shape[0] + 1
+        self.twiddle = twiddle
         self.gather = stencil_matrix(spread_idx, spread_val, n_over)
 
     @property
@@ -72,6 +93,13 @@ def grid_length(n, sigma, m):
     if abs(sigma * n - n_grid) > 1e-9 or n_grid % 2 or 4 * m > n_grid:
         return None
     return n_grid
+
+
+def block_count(n_over, degree):
+    """The largest divisor ``P`` of ``n_over`` with ``n_over / P >= degree``:
+    a band of ``degree`` frequencies then fills each of ``P`` FFTs of length
+    ``n_over / P`` without aliasing (``P = sigma`` for integer ``sigma``)."""
+    return max(p for p in range(1, n_over // degree + 1) if n_over % p == 0)
 
 
 def as_coefficients(values, size, who):
@@ -108,11 +136,16 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     x = np.clip(x, -0.5, 0.5)
 
     spec = WindowSpec(window, int(m), float(sigma), n_over)
-    hat = np.asarray(phi_hat_eval(spec, np.arange(N) - N // 2), dtype=float)
-    if np.any(hat <= 0.0):
+    # phi_hat on k = -N/2 .. N/2: the adjoint reads the tables backwards
+    # (at -k), which needs the one frequency past the band
+    k = np.arange(N + 1) - N // 2
+    d = np.asarray(phi_hat_eval(spec, k), dtype=float)
+    if np.any(d <= 0.0):
         raise PositivityError(
             "nfft_plan: window transform must be strictly positive on the "
             "frequency band; choose a larger sigma or a different window")
+    d *= n_over
+    np.reciprocal(d, out=d)
 
     # fixed 2m-point stencil around floor(n_over * x); boundary entries may
     # carry an exact window zero, which keeps every row the same length
@@ -120,24 +153,58 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
            + np.arange(1 - m, m + 1, dtype=np.int32))
     val = np.asarray(phi_eval(spec, x[:, None] - idx / n_over), dtype=float)
     np.mod(idx, n_over, out=idx)
-    return NfftPlan(int(N), n_over, spec, x, idx, val, 1.0 / (n_over * hat))
+    # made after the stencil, so that it does not add to the stencil's peak
+    P = block_count(n_over, N)
+    twiddle = d * np.exp((2j * np.pi / n_over) * np.outer(np.arange(1, P), k))
+    return NfftPlan(int(N), n_over, spec, x, idx, val, d, twiddle)
 
 
 def nfft_trafo(plan, c):
     """Evaluate ``sum_{k in I_N} c_k e^{2 pi i k x_j}`` for all plan nodes."""
-    chat = as_coefficients(c, plan.degree, "nfft_trafo") * plan.deconv
-    h = plan.degree // 2
-    buf = np.zeros(plan.n_over, dtype=complex)
-    buf[:h], buf[-h:] = chat[h:], chat[:h]
-    return fft_core.sparse_apply(plan.gather, fft_core.fft(buf, "inverse"))
+    return _trafo(plan, as_coefficients(c, plan.degree, "nfft_trafo"))
 
 
 def nfft_adjoint(plan, y):
     """Adjoint transform: ``h_k = sum_j y_j e^{-2 pi i k x_j}`` on ``I_N``.
 
-    Exact conjugate transpose of :func:`nfft_trafo` stage by stage.
+    The conjugate transpose of :func:`nfft_trafo` stage by stage.
     """
-    y = as_coefficients(y, plan.node_count, "nfft_adjoint")
-    T = fft_core.fft(fft_core.sparse_apply(plan.gather.T, y), "forward")
-    h = plan.degree // 2
-    return np.concatenate((T[-h:], T[:h])) * plan.deconv
+    return _adjoint(plan, as_coefficients(y, plan.node_count, "nfft_adjoint"))
+
+
+# Grid point t = q P + s (row q, column s of a (Q, P) array) gets
+#   sum_k c_k d_k e^{2 pi i k t / n_over}
+#     = sum_k (c_k d_k e^{2 pi i k s / n_over}) e^{2 pi i k q / Q},
+# a length-Q DFT per column of the band times that column's twiddle.  With
+# Q >= N the frequencies k in I_N land on distinct rows k mod Q: k >= 0 on
+# rows 0 .. N/2-1, k < 0 on rows Q-N/2 .. Q-1.
+
+def _trafo(plan, c):
+    """:func:`nfft_trafo` of a checked contiguous complex vector."""
+    h, P = plan.degree // 2, plan.blocks
+    Q = plan.n_over // P
+    buf = np.empty((Q, P), dtype=complex)
+    buf[h:Q - h] = 0.0
+    for s, d in enumerate((plan.deconv, *plan.twiddle)):
+        np.multiply(c[h:], d[h:2 * h], out=buf[:h, s])
+        np.multiply(c[:h], d[:h], out=buf[Q - h:, s])
+    grid = fft_core.fft(buf.ravel(), "inverse", blocks=P, overwrite=True)
+    return fft_core.sparse_apply(plan.gather, grid)
+
+
+def _adjoint(plan, y):
+    """:func:`nfft_adjoint` of a checked contiguous complex vector."""
+    h, P = plan.degree // 2, plan.blocks
+    Q = plan.n_over // P
+    grid = fft_core.sparse_apply(plan.gather.T, y)
+    F = fft_core.fft(grid, "forward", blocks=P, overwrite=True).reshape(Q, P)
+    out = np.zeros(2 * h, dtype=complex)
+    for s, d in enumerate((plan.deconv, *plan.twiddle)):
+        # the conjugate factor of k is the factor of -k (phi_hat is even):
+        # the table read backwards from k = N/2
+        d = d[:0:-1]
+        F[:h, s] *= d[h:]
+        F[Q - h:, s] *= d[:h]
+        out[h:] += F[:h, s]
+        out[:h] += F[Q - h:, s]
+    return out

@@ -12,7 +12,8 @@ polynomial of degree ``K`` these grid values define at the nodes
 ``O(m1 M1 + N2 log N2 + m2 M2)`` instead of ``O(M1 M2)``.
 
 The spread is one sparse stencil matrix built at plan time; the second
-stage is an :class:`~sincfft.nfft.NfftPlan`.
+stage is an :class:`~sincfft.nfft.NfftPlan` whose gather rows carry the
+final division, so an apply is two sparse products around one FFT.
 
 Frequencies must satisfy ``|v_k| <= 1/(2a)`` with ``a = 1 + 2 m1 / N1``;
 :func:`rescale_frequencies` maps data given on ``[-1/2, 1/2]`` onto an
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from . import fft_core
+from . import fft_core, nfft
 from .errors import ParameterError, PositivityError
-from .nfft import (as_coefficients, grid_length, nfft_plan, nfft_trafo,
-                   stencil_matrix)
+from .nfft import as_coefficients, grid_length, nfft_plan, stencil_matrix
 from .windows import WindowSpec, phi_eval, phi_hat_eval
 
 _DOMAIN_TOL = 1e-12
@@ -83,6 +83,9 @@ class NnfftGeometry:
         if N2 % 2:
             N2 += 1
         sigma2_eff = N2 / K
+        # the second stage is the NFFT of degree K on the N2-point grid
+        if grid_length(K, sigma2_eff, m2) is None:
+            raise ParameterError(f"need 4*m2 <= N2, got 4*{m2} > {N2}")
 
         # 1 - 1/sigma1 evaluated with the exact grid ratio N/N1
         if 2 * m2 > (1.0 - N / N1) * N2 + 1e-9:
@@ -104,11 +107,12 @@ class NnfftPlan:
     the nodes ``-x_j / sigma1`` with window ``window2``, and the only copy
     of the nodes the plan keeps: the minus sign turns its
     ``e^{+2 pi i l t}`` into the ``e^{-2 pi i l x_j / sigma1}`` of the
-    transform.  ``scale = 1/(N1 phi_hat_1(N x_j))`` at the nodes.
+    transform.  It is no bare NFFT: row ``j`` of its gather holds the
+    ``phi_2`` values times ``1/(N1 phi_hat_1(N x_j))``, the final scaling
+    of the transform.
     """
 
-    def __init__(self, geometry, window1, v, spread_idx, spread_val,
-                 stage2, scale):
+    def __init__(self, geometry, window1, v, spread_idx, spread_val, stage2):
         self.geometry = geometry
         self.window1 = window1
         self.window2 = stage2.window
@@ -116,7 +120,6 @@ class NnfftPlan:
         self.spread_idx = spread_idx
         self.spread_val = spread_val
         self.stage2 = stage2
-        self.scale = scale
         self.spread = stencil_matrix(spread_idx, spread_val, stage2.degree).T
 
 
@@ -202,8 +205,6 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     if np.any(hat1 <= 0.0):
         raise PositivityError(
             "nnfft_plan: phi_hat_1(N x_j) must be strictly positive at every node")
-    hat1 *= geo.N1
-    scale = np.reciprocal(hat1, out=hat1)  # 1/(N1 phi_hat_1(N x_j))
     K = geo.N1 + 2 * geo.m1
 
     # spreading table: phi_1(l/N1 - v_k) on the fixed 2*m1 stencil around
@@ -217,13 +218,19 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     # grid ratio N/N1)
     stage2 = nfft_plan(K, x * (-geo.N / geo.N1), sigma=geo.sigma2, m=geo.m2,
                        window=window2)
+    # fold 1/(N1 phi_hat_1(N x_j)) into row j of the gather
+    hat1 *= geo.N1
+    stage2.spread_val *= np.reciprocal(hat1, out=hat1)[:, None]
 
-    return NnfftPlan(geo, w1, v, spos, sval, stage2, scale)
+    return NnfftPlan(geo, w1, v, spos, sval, stage2)
 
 
 def nnfft_trafo(plan, f):
     """Evaluate ``sum_k f_k e^{-2 pi i N v_k x_j}`` at all plan nodes for
     ``M1`` finite coefficients ``f``; returns ``M2`` complex values."""
-    f = as_coefficients(f, plan.geometry.M1, "nnfft_trafo")
-    g = fft_core.sparse_apply(plan.spread, f)
-    return nfft_trafo(plan.stage2, g) * plan.scale
+    return _trafo(plan, as_coefficients(f, plan.geometry.M1, "nnfft_trafo"))
+
+
+def _trafo(plan, f):
+    """:func:`nnfft_trafo` of a checked contiguous complex vector."""
+    return nfft._trafo(plan.stage2, fft_core.sparse_apply(plan.spread, f))

@@ -1,10 +1,13 @@
 """Closed-form bounds: frozen oracles, assembly consistency, monotonicity."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sincfft import bounds
 from sincfft.errors import ParameterError
@@ -160,3 +163,37 @@ def test_parameter_rejections():
         bounds.choose_n(128, 2.0)
     with pytest.raises(ParameterError):
         bounds.choose_n(128, 1e-8, "triangle")
+
+
+def test_large_cutoffs_reference_case():
+    # at m1 = m2 = 3000 the growing factor alone overflows a double and
+    # hat_phi_1(N/2) underflows to 0; both only meet in the exponent
+    assert bounds.bound_nnfft_sinh(128, 2.0, 2.0, 3000, 3000) == 0.0
+    rep = bounds.bound_report(128, 3000, 3000, 2.0, 2.0, 4.0)
+    assert rep.hat_phi1_half == 0.0 and rep.b_term == 0.0
+    assert rep.fast_sinc_bound_full == rep.cc_bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(min_value=1, max_value=10**6),
+       sigma1=st.floats(min_value=1.1, max_value=2.2),
+       sigma2=st.floats(min_value=1.1, max_value=2.2),
+       cutoffs=st.lists(st.integers(min_value=0, max_value=10**4),
+                        min_size=2, max_size=2),
+       swap=st.booleans(),
+       nu=st.floats(min_value=4.0, max_value=8.0))
+def test_every_bound_is_finite_or_rejected(N, sigma1, sigma2, cutoffs, swap, nu):
+    # m1 <= m2 unless swapped, so that most draws reach the two-stage bounds
+    m1, m2 = sorted(cutoffs, reverse=swap)
+    calls = [lambda: [bounds.bound_sinh_E(m1, sigma1)],
+             lambda: [bounds.hat_phi_sinh_at_half(N, sigma1, m1)],
+             lambda: [bounds.bound_nnfft_sinh(N, sigma1, sigma2, m1, m2)],
+             lambda: [v for v in dataclasses.astuple(
+                 bounds.bound_report(N, m1, m2, sigma1, sigma2, nu))
+                 if isinstance(v, float)]]
+    for call in calls:
+        try:
+            values = call()
+        except ParameterError:
+            continue
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)

@@ -47,18 +47,24 @@ def test_accuracy_below_certificate(layout):
 
 
 def test_forced_general_matches_fast_path():
+    # every equispaced layout against GENERAL on the same nodes; the CC
+    # weights ride in the gather rows of whichever stage 1 the layout has
     rng = np.random.default_rng(5)
     N, L1 = 64, 32
-    a = _random_nodes(rng, L1)
-    b = _grid(N)
+    a_random, a_grid = _random_nodes(rng, L1), _grid(L1)
+    b_grid = _grid(N)
     c = rng.uniform(-1, 1, L1) + 1j * rng.uniform(-1, 1, L1)
-    auto = sinc_plan(N, a, b, m1=8, m2=8)
-    forced = sinc_plan(N, a, b, m1=8, m2=8, mode="general")
-    assert auto.mode is SincMode.EQUISPACED_TARGETS
-    assert forced.mode is SincMode.GENERAL
-    fa = fast_sinc_transform(auto, c)
-    ff = fast_sinc_transform(forced, c)
-    assert np.max(np.abs(fa - ff)) < 1e-11 * np.sum(np.abs(c))
+    b_random = _random_nodes(rng, 40)
+    for mode, a, b in ((SincMode.EQUISPACED_TARGETS, a_random, b_grid),
+                       (SincMode.EQUISPACED_SOURCES, a_grid, b_random),
+                       (SincMode.EQUISPACED_BOTH, a_grid, b_grid)):
+        auto = sinc_plan(N, a, b, m1=8, m2=8)
+        forced = sinc_plan(N, a, b, m1=8, m2=8, mode="general")
+        assert auto.mode is mode
+        assert forced.mode is SincMode.GENERAL
+        fa = fast_sinc_transform(auto, c)
+        ff = fast_sinc_transform(forced, c)
+        assert np.max(np.abs(fa - ff)) < 1e-11 * np.sum(np.abs(c)), mode
 
 
 def test_epsilon_selects_power_of_two():

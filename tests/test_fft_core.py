@@ -43,6 +43,23 @@ def test_fft_rejects():
         fft_core.fft(np.ones(4), "backward")
     with pytest.raises(ParameterError):
         fft_core.fft(np.ones((2, 2)), "forward")
+    with pytest.raises(ParameterError):
+        fft_core.fft(np.ones(6), "forward", blocks=4)
+
+
+@pytest.mark.parametrize("L, P", [(12, 1), (12, 2), (12, 3), (528, 2)])
+@pytest.mark.parametrize("direction, sign", [("forward", -1), ("inverse", +1)])
+def test_fft_blocks_transform_each_interleaved_column(L, P, direction, sign):
+    rng = np.random.default_rng(L + P)
+    v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    ref = (_dft_matrix(L // P, sign) @ v.reshape(-1, P)).ravel()
+    out = fft_core.fft(v.copy(), direction, blocks=P)
+    assert np.allclose(out, ref, atol=1e-10 * L)
+    # overwrite=True puts the result into the input's memory
+    buf = v.copy()
+    out = fft_core.fft(buf, direction, blocks=P, overwrite=True)
+    assert np.shares_memory(out, buf)
+    assert np.allclose(out, ref, atol=1e-10 * L)
 
 
 def _dct1_matrix(n):

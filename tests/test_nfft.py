@@ -1,12 +1,14 @@
 """Gridding NFFT: accuracy against the exact polynomial, adjoint exactness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sincfft import bounds
 from sincfft.direct import ndft_direct
 from sincfft.errors import ParameterError, PositivityError
-from sincfft.nfft import nfft_adjoint, nfft_plan, nfft_trafo
+from sincfft.nfft import block_count, nfft_adjoint, nfft_plan, nfft_trafo
 
 
 def _random_instance(rng, N, M):
@@ -102,3 +104,59 @@ def test_positivity_guard_trips():
     # pushed to the grid edge with tiny oversampling must be rejected
     with pytest.raises((PositivityError, ParameterError)):
         nfft_plan(64, np.zeros(2), sigma=1.0, m=4, window="bspline")
+
+
+def test_block_count_is_largest_divisor_keeping_the_band():
+    assert block_count(96, 64) == 1     # sigma = 1.5
+    assert block_count(128, 64) == 2    # sigma = 2
+    assert block_count(160, 64) == 2    # sigma = 2.5: Q = 80 > N
+    assert block_count(192, 64) == 3    # sigma = 3
+    assert block_count(130, 64) == 2
+    assert block_count(134, 64) == 2    # 134 = 2 * 67
+    assert block_count(142, 70) == 2    # 142 = 2 * 71
+
+
+# Kaiser-Bessel: the sinh window is limited to sigma <= 2
+@pytest.mark.parametrize("sigma, blocks", [(1.5, 1), (2.0, 2), (2.5, 2), (3.0, 3)])
+def test_trafo_and_adjoint_match_direct_for_every_block_count(sigma, blocks):
+    rng = np.random.default_rng(int(10 * sigma))
+    N, M = 64, 129
+    x, c = _random_instance(rng, N, M)
+    y = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    plan = nfft_plan(N, x, sigma=sigma, m=10, window="kaiser-bessel")
+    assert plan.blocks == blocks
+    err = np.max(np.abs(nfft_trafo(plan, c) - ndft_direct(c, x)))
+    assert err <= 1e-13 * np.sum(np.abs(c))
+    k = np.arange(N) - N // 2
+    ref = np.exp(-2j * np.pi * np.outer(k, x)) @ y
+    err = np.max(np.abs(nfft_adjoint(plan, y) - ref))
+    assert err <= 1e-13 * np.sum(np.abs(y))
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 2.5, 3.0])
+def test_adjoint_identity_for_every_block_count(sigma):
+    rng = np.random.default_rng(int(20 * sigma))
+    N, M = 32, 47
+    x, c = _random_instance(rng, N, M)
+    y = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    plan = nfft_plan(N, x, sigma=sigma, m=4, window="kaiser-bessel")
+    lhs = np.vdot(y, nfft_trafo(plan, c))
+    rhs = np.vdot(nfft_adjoint(plan, y), c)
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(c) * np.linalg.norm(y)
+
+
+def test_trafo_allocates_only_its_grid_and_output():
+    # one trafo holds the grid (n_over, transformed in place) and the
+    # output (M): no deconvolved copy of c, no zero-padded FFT input
+    rng = np.random.default_rng(42)
+    N, M = 4096, 4096
+    x, c = _random_instance(rng, N, M)
+    plan = nfft_plan(N, x, sigma=2.0, m=6)
+    nfft_trafo(plan, c)  # first call: one-time costs
+    tracemalloc.start()
+    try:
+        nfft_trafo(plan, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16 * (plan.n_over + M)

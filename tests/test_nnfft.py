@@ -1,5 +1,6 @@
 """Two-stage nonequispaced transform: geometry, accuracy, internal consistency."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from sincfft.errors import ParameterError
 from sincfft.nfft import NfftPlan
 from sincfft.nnfft import (NnfftGeometry, nnfft_plan, nnfft_trafo,
                            rescale_frequencies)
+from sincfft.windows import WindowSpec, phi_eval, phi_hat_eval
 
 
 def test_geometry_reference_case():
@@ -49,6 +51,28 @@ def test_geometry_rejects():
     with pytest.raises(ParameterError):
         # second-stage stencil exceeds the alias-free margin (1 - 1/sigma1) N2
         NnfftGeometry.from_parameters(16, 8, 8, 1.25, 1.03125, 2, 3)
+    with pytest.raises(ParameterError):
+        # within the margin, but 4*m2 = 24 > N2 = 22 for the stage-2 NFFT
+        NnfftGeometry.from_parameters(4, 3, 3, 4.0, 1.1, 2, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(min_value=1, max_value=64),
+       sigma1=st.sampled_from([1.25, 1.5, 2.0, 3.0, 4.0]),
+       sigma2=st.floats(min_value=1.01, max_value=3.0),
+       m1=st.integers(min_value=2, max_value=8),
+       m2=st.integers(min_value=2, max_value=8),
+       window=st.sampled_from(["kaiser-bessel", "bspline"]))
+def test_every_accepted_geometry_builds_a_plan(N, sigma1, sigma2, m1, m2, window):
+    try:
+        geo = NnfftGeometry.from_parameters(N, 3, 3, sigma1, sigma2, m1, m2)
+    except ParameterError:
+        return
+    vmax = 0.5 / geo.a
+    plan = nnfft_plan(N, np.array([-vmax, 0.0, vmax]), np.array([-0.5, 0.0, 0.5]),
+                      sigma1=sigma1, sigma2=sigma2, m1=m1, m2=m2,
+                      window1=window, window2=window)
+    assert plan.geometry == geo
 
 
 def test_rescale_reference_case():
@@ -175,26 +199,27 @@ def test_single_frequency_wave():
     assert np.max(np.abs(out - ref)) < 1e-9
 
 
-def _slow_reference(plan, f):
-    """Re-run the stages with explicit loops and an O(K N2) DFT: the spread,
-    then the second-stage NFFT (deconvolve, DFT onto the fine grid, gather)
-    from its own tables, then the scaling at the nodes."""
-    geo = plan.geometry
-    stage2 = plan.stage2
+def _slow_reference(geo, v, x, f):
+    """The two-stage algorithm written out with loops, the window functions
+    and an O(K N2) DFT, without the plan's tables: spread onto the coarse
+    grid l/N1 (l = -K/2 .. K/2-1) with phi_1, divide by N2 phi_hat_2(l),
+    DFT onto the fine grid t/N2, gather with phi_2 at the nodes
+    -x_j/sigma1 (periodically) and divide by N1 phi_hat_1(N x_j)."""
     K = geo.N1 + 2 * geo.m1
+    w1 = WindowSpec("sinh", geo.m1, geo.sigma1, geo.N1)
+    w2 = WindowSpec("sinh", geo.m2, geo.sigma2, geo.N2)
+    ell = np.arange(K) - K // 2
     g = np.zeros(K, dtype=complex)
     for k in range(geo.M1):
-        for t in range(2 * geo.m1):
-            g[plan.spread_idx[k, t]] += f[k] * plan.spread_val[k, t]
-    ghat = g * stage2.deconv  # 1/(N2 phi_hat_2) on I_K
-    ell = np.arange(K) - K // 2
+        g += f[k] * phi_eval(w1, ell / geo.N1 - v[k])
+    ghat = g / (geo.N2 * phi_hat_eval(w2, ell))
     t = np.arange(geo.N2)
     h = np.exp(2j * np.pi * np.outer(t, ell) / geo.N2) @ ghat
     out = np.zeros(geo.M2, dtype=complex)
     for j in range(geo.M2):
-        for s in range(2 * geo.m2):
-            out[j] += h[stage2.spread_idx[j, s]] * stage2.spread_val[j, s]
-    return out * plan.scale  # 1/(N1 phi_hat_1(N x_j))
+        y = x[j] * (-geo.N / geo.N1)
+        out[j] = np.sum(h * phi_eval(w2, np.mod(y - t / geo.N2 + 0.5, 1.0) - 0.5))
+    return out / (geo.N1 * phi_hat_eval(w1, geo.N * x))
 
 
 def test_vectorized_stages_match_loop_reference():
@@ -206,7 +231,7 @@ def test_vectorized_stages_match_loop_reference():
     f = rng.uniform(-1, 1, M1) + 1j * rng.uniform(-1, 1, M1)
     plan = nnfft_plan(N, v, x, sigma1=2.0, sigma2=2.0, m1=3, m2=3)
     fast = nnfft_trafo(plan, f)
-    slow = _slow_reference(plan, f)
+    slow = _slow_reference(geo, v, x, f)
     assert np.max(np.abs(fast - slow)) < 1e-12 * np.sum(np.abs(f))
 
 
@@ -226,3 +251,22 @@ def test_odd_point_counts_are_allowed():
                       m1=3, m2=3)
     out = nnfft_trafo(plan, np.ones(3, dtype=complex))
     assert out.shape == (2,)
+
+
+def test_trafo_allocates_only_its_grids_and_output():
+    # one apply holds the coarse grid (K), the fine grid (N2, transformed in
+    # place) and the output (M2): no scaling pass, no FFT output copy
+    rng = np.random.default_rng(41)
+    N, M = 4096, 4096
+    n_star, v = rescale_frequencies(N, rng.uniform(-0.5, 0.5, M), 2.0, 6)
+    plan = nnfft_plan(n_star, v, rng.uniform(-0.5, 0.5, M), m1=6, m2=6)
+    f = rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M)
+    nnfft_trafo(plan, f)  # first call: one-time costs
+    tracemalloc.start()
+    try:
+        nnfft_trafo(plan, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    geo = plan.geometry
+    assert peak <= 1.1 * 16 * (geo.N1 + 2 * geo.m1 + geo.N2 + geo.M2)
