@@ -25,15 +25,10 @@ import enum
 import numpy as np
 
 from . import bounds as _bounds
-from . import nfft, nnfft
 from .errors import ParameterError
-# nfft_trafo, nfft_adjoint and nnfft_trafo stay importable from this module
-# (tracing tools rebind them here) although the applies call the unchecked
-# stages
-from .nfft import (as_coefficients, grid_length, nfft_adjoint,  # noqa: F401
+from .nfft import (NfftPlan, as_coefficients, grid_length, nfft_adjoint,
                    nfft_plan, nfft_trafo)
-from .nnfft import (NnfftGeometry, fast_bandwidth, nnfft_plan,  # noqa: F401
-                    nnfft_trafo)
+from .nnfft import NnfftGeometry, fast_bandwidth, nnfft_plan, nnfft_trafo
 from .sinc_approx import cc_quadrature
 
 _GRID_TOL = 1e-12
@@ -51,16 +46,16 @@ class SincMode(enum.Enum):
 class SincPlan:
     """Precomputed stages of the fast sinc transform for one node pair.
 
-    An apply is ``_apply3(_plan3, _apply1(_plan1, c))``.  Stage 1 is an
-    NNFFT, or an NFFT when the sources are on the grid; row ``j`` of its
-    gather also carries the weight ``quad.weights[j]``, so it returns
-    ``alpha`` directly (in an NNFFT that row already holds
-    ``1/(N1 phi_hat_1(N z_j / 2))``).  Stage 3 is an NNFFT, or an adjoint
-    NFFT when the targets are on the grid, with its own scaling only.
+    Stage 1 (``_plan1``) is an NNFFT, or an NFFT when the sources are on
+    the grid; row ``j`` of its gather also carries the weight
+    ``quad.weights[j]``, so it returns ``alpha`` directly (in an NNFFT that
+    row already holds ``1/(N1 phi_hat_1(N z_j / 2))``).  Stage 3
+    (``_plan3``) is an NNFFT, or an adjoint NFFT when the targets are on
+    the grid, with its own scaling only.
     """
 
     def __init__(self, N, n, quad, a, b, mode, params, n_star,
-                 inner_geometry, apply1, plan1, apply3, plan3):
+                 inner_geometry, plan1, plan3):
         self.N = N
         self.n = n
         self.quad = quad
@@ -73,8 +68,8 @@ class SincPlan:
          self.window1, self.window2) = params
         self.n_star = n_star
         self.inner_geometry = inner_geometry
-        self._apply1, self._plan1 = apply1, plan1
-        self._apply3, self._plan3 = apply3, plan3
+        self._plan1 = plan1
+        self._plan3 = plan3
 
     def error_bound(self):
         """Closed-form accuracy certificate for this plan.
@@ -201,33 +196,38 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
     if mode in (SincMode.EQUISPACED_SOURCES, SincMode.EQUISPACED_BOTH):
         t = _wrap_half(-(N / (2.0 * a.size)) * z)
         plan1 = nfft_plan(a.size, t, sigma=float(sigma1), m=int(m1), window=window1)
-        apply1, gather1 = nfft._trafo, plan1
+        gather1 = plan1
     else:
         plan1 = nnfft_plan(n_star, (a * N) / n_star, 0.5 * z,
                            sigma1=float(sigma1), sigma2=float(sigma2),
                            m1=int(m1), m2=int(m2),
                            window1=window1, window2=window2)
-        apply1, gather1 = nnfft._trafo, plan1.stage2
+        gather1 = plan1.stage2
     # alpha_j = w_j g_j: the weight of z_j rides in row j of stage 1's gather
     gather1.spread_val *= quad.weights[:, None]
 
     if mode in (SincMode.EQUISPACED_TARGETS, SincMode.EQUISPACED_BOTH):
         plan3 = nfft_plan(int(N), -0.5 * z, sigma=float(sigma1), m=int(m1),
                           window=window1)
-        apply3 = nfft._adjoint
     else:
         plan3 = nnfft_plan(n_star, (z * (-0.5 * N)) / n_star, b,
                            sigma1=float(sigma1), sigma2=float(sigma2),
                            m1=int(m1), m2=int(m2),
                            window1=window1, window2=window2)
-        apply3 = nnfft._trafo
 
     return SincPlan(int(N), int(n), quad, a, b, mode, params, n_star,
-                    inner_geometry, apply1, plan1, apply3, plan3)
+                    inner_geometry, plan1, plan3)
 
 
 def fast_sinc_transform(plan, c):
     """Apply the planned fast sinc transform to ``L1`` finite coefficients
     ``c``; returns ``L2`` complex values."""
     c = as_coefficients(c, plan.L1, "fast_sinc_transform")
-    return plan._apply3(plan._plan3, plan._apply1(plan._plan1, c))
+    # each stage through its public name here, which a tracer can rebind
+    if isinstance(plan._plan1, NfftPlan):
+        alpha = nfft_trafo(plan._plan1, c)
+    else:
+        alpha = nnfft_trafo(plan._plan1, c)
+    if isinstance(plan._plan3, NfftPlan):
+        return nfft_adjoint(plan._plan3, alpha)
+    return nnfft_trafo(plan._plan3, alpha)

@@ -1,7 +1,7 @@
 """Uniform transform kernels the fast algorithms are built on.
 
 An unnormalized complex FFT of arbitrary length, also as interleaved
-blocks and in place, and the orthogonal (self-inverse) cosine transform
+blocks, that may reuse its input buffer, and the orthogonal (self-inverse) cosine transform
 of type I, both from pocketfft, and the product of a real sparse stencil
 matrix with a complex vector.
 """
@@ -12,7 +12,7 @@ import scipy.fft
 from .errors import ParameterError
 
 
-def fft(values, direction="forward", *, blocks=1, overwrite=False):
+def fft(values, direction="forward", *, blocks=1):
     """Unnormalized discrete Fourier transform of a 1-d complex array.
 
     ``forward`` computes ``X_s = sum_l x_l e^{-2 pi i l s / L}``;
@@ -22,8 +22,8 @@ def fft(values, direction="forward", *, blocks=1, overwrite=False):
     With ``blocks=P`` (a divisor of ``L``) the array is read as ``L/P``
     rows of ``P`` values and each column, the subsequence ``x[s::P]``, is
     transformed on its own with length ``L/P``; the result keeps that
-    layout.  ``overwrite=True`` lets the result reuse the memory of a
-    complex ``values``.
+    layout.  A complex ``values`` serves as the work buffer: its contents
+    are undefined afterwards, and the result may share its memory.
     """
     v = np.asarray(values)
     if v.ndim != 1 or v.size == 0:
@@ -32,9 +32,9 @@ def fft(values, direction="forward", *, blocks=1, overwrite=False):
         raise ParameterError(f"fft: blocks must be a positive divisor of {v.size}")
     cols = v.reshape(-1, blocks)
     if direction == "forward":
-        return scipy.fft.fft(cols, axis=0, overwrite_x=overwrite).ravel()
+        return scipy.fft.fft(cols, axis=0, overwrite_x=True).ravel()
     if direction == "inverse":
-        return scipy.fft.ifft(cols, axis=0, norm="forward", overwrite_x=overwrite).ravel()
+        return scipy.fft.ifft(cols, axis=0, norm="forward", overwrite_x=True).ravel()
     raise ParameterError(f"fft: direction must be 'forward' or 'inverse', got {direction!r}")
 
 

@@ -159,19 +159,6 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     return NfftPlan(int(N), n_over, spec, x, idx, val, d, twiddle)
 
 
-def nfft_trafo(plan, c):
-    """Evaluate ``sum_{k in I_N} c_k e^{2 pi i k x_j}`` for all plan nodes."""
-    return _trafo(plan, as_coefficients(c, plan.degree, "nfft_trafo"))
-
-
-def nfft_adjoint(plan, y):
-    """Adjoint transform: ``h_k = sum_j y_j e^{-2 pi i k x_j}`` on ``I_N``.
-
-    The conjugate transpose of :func:`nfft_trafo` stage by stage.
-    """
-    return _adjoint(plan, as_coefficients(y, plan.node_count, "nfft_adjoint"))
-
-
 # Grid point t = q P + s (row q, column s of a (Q, P) array) gets
 #   sum_k c_k d_k e^{2 pi i k t / n_over}
 #     = sum_k (c_k d_k e^{2 pi i k s / n_over}) e^{2 pi i k q / Q},
@@ -179,8 +166,9 @@ def nfft_adjoint(plan, y):
 # Q >= N the frequencies k in I_N land on distinct rows k mod Q: k >= 0 on
 # rows 0 .. N/2-1, k < 0 on rows Q-N/2 .. Q-1.
 
-def _trafo(plan, c):
-    """:func:`nfft_trafo` of a checked contiguous complex vector."""
+def nfft_trafo(plan, c):
+    """Evaluate ``sum_{k in I_N} c_k e^{2 pi i k x_j}`` for all plan nodes."""
+    c = as_coefficients(c, plan.degree, "nfft_trafo")
     h, P = plan.degree // 2, plan.blocks
     Q = plan.n_over // P
     buf = np.empty((Q, P), dtype=complex)
@@ -188,16 +176,20 @@ def _trafo(plan, c):
     for s, d in enumerate((plan.deconv, *plan.twiddle)):
         np.multiply(c[h:], d[h:2 * h], out=buf[:h, s])
         np.multiply(c[:h], d[:h], out=buf[Q - h:, s])
-    grid = fft_core.fft(buf.ravel(), "inverse", blocks=P, overwrite=True)
+    grid = fft_core.fft(buf.ravel(), "inverse", blocks=P)
     return fft_core.sparse_apply(plan.gather, grid)
 
 
-def _adjoint(plan, y):
-    """:func:`nfft_adjoint` of a checked contiguous complex vector."""
+def nfft_adjoint(plan, y):
+    """Adjoint transform: ``h_k = sum_j y_j e^{-2 pi i k x_j}`` on ``I_N``.
+
+    The conjugate transpose of :func:`nfft_trafo` stage by stage.
+    """
+    y = as_coefficients(y, plan.node_count, "nfft_adjoint")
     h, P = plan.degree // 2, plan.blocks
     Q = plan.n_over // P
     grid = fft_core.sparse_apply(plan.gather.T, y)
-    F = fft_core.fft(grid, "forward", blocks=P, overwrite=True).reshape(Q, P)
+    F = fft_core.fft(grid, "forward", blocks=P).reshape(Q, P)
     out = np.zeros(2 * h, dtype=complex)
     for s, d in enumerate((plan.deconv, *plan.twiddle)):
         # the conjugate factor of k is the factor of -k (phi_hat is even):

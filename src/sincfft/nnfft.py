@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from . import fft_core, nfft
+from . import fft_core
 from .errors import ParameterError, PositivityError
-from .nfft import as_coefficients, grid_length, nfft_plan, stencil_matrix
+from .nfft import (as_coefficients, grid_length, nfft_plan, nfft_trafo,
+                   stencil_matrix)
 from .windows import WindowSpec, phi_eval, phi_hat_eval
 
 _DOMAIN_TOL = 1e-12
@@ -228,9 +229,5 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
 def nnfft_trafo(plan, f):
     """Evaluate ``sum_k f_k e^{-2 pi i N v_k x_j}`` at all plan nodes for
     ``M1`` finite coefficients ``f``; returns ``M2`` complex values."""
-    return _trafo(plan, as_coefficients(f, plan.geometry.M1, "nnfft_trafo"))
-
-
-def _trafo(plan, f):
-    """:func:`nnfft_trafo` of a checked contiguous complex vector."""
-    return nfft._trafo(plan.stage2, fft_core.sparse_apply(plan.spread, f))
+    f = as_coefficients(f, plan.geometry.M1, "nnfft_trafo")
+    return nfft_trafo(plan.stage2, fft_core.sparse_apply(plan.spread, f))

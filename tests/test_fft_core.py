@@ -16,8 +16,8 @@ def _dft_matrix(L, sign):
 def test_fft_matches_matrix_oracle(L):
     rng = np.random.default_rng(1234 + L)
     v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    fwd = fft_core.fft(v, "forward")
-    inv = fft_core.fft(v, "inverse")
+    fwd = fft_core.fft(v.copy(), "forward")
+    inv = fft_core.fft(v.copy(), "inverse")
     assert np.allclose(fwd, _dft_matrix(L, -1) @ v, atol=1e-10 * L)
     assert np.allclose(inv, _dft_matrix(L, +1) @ v, atol=1e-10 * L)
 
@@ -26,7 +26,7 @@ def test_fft_matches_matrix_oracle(L):
 def test_fft_parseval(L):
     rng = np.random.default_rng(7)
     v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    fwd = fft_core.fft(v, "forward")
+    fwd = fft_core.fft(v.copy(), "forward")
     assert np.sum(np.abs(fwd) ** 2) == pytest.approx(L * np.sum(np.abs(v) ** 2),
                                                      rel=1e-13)
 
@@ -34,7 +34,7 @@ def test_fft_parseval(L):
 def test_fft_round_trip():
     rng = np.random.default_rng(11)
     v = rng.standard_normal(96) + 1j * rng.standard_normal(96)
-    back = fft_core.fft(fft_core.fft(v, "forward"), "inverse") / 96
+    back = fft_core.fft(fft_core.fft(v.copy(), "forward"), "inverse") / 96
     assert np.allclose(back, v, atol=1e-13)
 
 
@@ -53,11 +53,9 @@ def test_fft_blocks_transform_each_interleaved_column(L, P, direction, sign):
     rng = np.random.default_rng(L + P)
     v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
     ref = (_dft_matrix(L // P, sign) @ v.reshape(-1, P)).ravel()
-    out = fft_core.fft(v.copy(), direction, blocks=P)
-    assert np.allclose(out, ref, atol=1e-10 * L)
-    # overwrite=True puts the result into the input's memory
+    # the transform runs in the memory of a complex input
     buf = v.copy()
-    out = fft_core.fft(buf, direction, blocks=P, overwrite=True)
+    out = fft_core.fft(buf, direction, blocks=P)
     assert np.shares_memory(out, buf)
     assert np.allclose(out, ref, atol=1e-10 * L)
 
