@@ -35,33 +35,6 @@ def _check_sinh_params(m, sigma, who):
             f"{who}: sinh-type bounds require 5/4 <= sigma <= 2, got {sigma}")
 
 
-def bound_general_window(c1, c2, mu, m, sigma, omega_hat_at):
-    """Gridding error constant for a window with tail parameters.
-
-    For a window whose shape transform satisfies a two-term tail estimate
-    with constants ``c1``, ``c2`` and algebraic decay rate ``mu > 1``, the
-    error constant is
-
-        (2 c1 + (2 c2 / ((mu - 1) m^mu)) (1 - 1/(2 sigma))^(1 - mu))
-            / omega_hat_at
-
-    where ``omega_hat_at`` is the shape transform at the band edge
-    ``m / (2 sigma)``.
-    """
-    if not mu > 1.0:
-        raise ParameterError("bound_general_window: mu must be > 1")
-    if c1 < 0 or c2 < 0:
-        raise ParameterError("bound_general_window: c1 and c2 must be >= 0")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ParameterError("bound_general_window: m must be a positive integer")
-    if not sigma > 1.0:
-        raise ParameterError("bound_general_window: sigma must be > 1")
-    if not omega_hat_at > 0.0:
-        raise ParameterError("bound_general_window: omega_hat_at must be positive")
-    tail = (2.0 * c2 / ((mu - 1.0) * m ** mu)) * (1.0 - 1.0 / (2.0 * sigma)) ** (1.0 - mu)
-    return (2.0 * c1 + tail) / omega_hat_at
-
-
 def _log_sinh_E(m, sigma):
     return math.log(24.0 * m ** 1.5 + 10.0) - 2.0 * math.pi * m * math.sqrt(1.0 - 1.0 / sigma)
 
@@ -140,38 +113,27 @@ def bound_cc_sinc(N, nu):
             / (35.0 * (math.e ** 2 - 1.0)) * math.exp(expo))
 
 
-def choose_n(N, epsilon, shape="pow2"):
-    """Smallest surrogate size ``n`` whose bound beats ``epsilon``.
-
-    ``shape="pow2"`` searches ``n = 2^t`` (t >= 2), ``shape="multiple"``
-    integer multiples ``n = nu N``; either way the weights cost one DCT-I.
-    """
+def choose_n(N, epsilon):
+    """Smallest power of two ``n = 2^t`` (``t >= 2``) whose surrogate bound
+    beats ``epsilon``."""
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ParameterError("choose_n: N must be a positive integer")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("choose_n: epsilon must lie in (0, 1)")
-    if shape == "pow2":
-        for t in range(2, 64):
-            n = 2 ** t
-            if bound_cc_sinc(N, n / N) < epsilon:
-                return n
-    elif shape == "multiple":
-        for nu in range(1, 10000):
-            if bound_cc_sinc(N, float(nu)) < epsilon:
-                return nu * int(N)
-    else:
-        raise ParameterError("choose_n: shape must be 'pow2' or 'multiple'")
+    for t in range(2, 64):
+        n = 2 ** t
+        if bound_cc_sinc(N, n / N) < epsilon:
+            return n
     raise ParameterError("choose_n: no admissible n found")
 
 
-def bound_fast_sinc(epsilon, e1, e2, a, hat_phi1_half, simplified=False):
+def bound_fast_sinc(epsilon, e1, e2, a, hat_phi1_half):
     """Error constant of the fast sinc transform, per unit ``sum |c_k|``.
 
     With the surrogate level ``epsilon`` and the two-stage constant
     ``B = e1 + a e2 / hat_phi1_half``, the guaranteed bound is
-    ``epsilon + 2B + B^2``; the ``simplified`` variant
-    ``epsilon + 3 e1 + 3 a e2 / hat_phi1_half`` additionally requires
-    ``B <= 1``.
+    ``epsilon + 2B + B^2``.  The simplified form that holds for ``B <= 1``
+    is assembled by :func:`bound_report`.
     """
     for name, val in (("epsilon", epsilon), ("e1", e1), ("e2", e2)):
         if val < 0:
@@ -181,12 +143,6 @@ def bound_fast_sinc(epsilon, e1, e2, a, hat_phi1_half, simplified=False):
     if not hat_phi1_half > 0.0:
         raise ParameterError("bound_fast_sinc: hat_phi1_half must be positive")
     B = e1 + a * e2 / hat_phi1_half
-    if simplified:
-        if B > 1.0:
-            raise ParameterError(
-                "bound_fast_sinc: simplified form requires "
-                "e1 + a*e2/hat_phi1_half <= 1")
-        return epsilon + 3.0 * e1 + 3.0 * a * e2 / hat_phi1_half
     return epsilon + 2.0 * B + B * B
 
 
@@ -221,8 +177,9 @@ def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
     """Assemble a :class:`BoundReport`.
 
     ``epsilon`` defaults to the surrogate bound at oversampling ``nu``.
-    The ``simplified`` value is reported even when its validity condition
-    fails; ``simplified_valid`` says whether it may be used.
+    The simplified bound ``epsilon + 3 e1 + 3 a e2 / hat_phi1_half`` is
+    reported even when its condition ``b_term <= 1`` fails;
+    ``simplified_valid`` says whether it may be used.
     """
     nnfft = bound_nnfft_sinh(N, sigma1, sigma2, m1, m2)  # checks the parameters
     e1 = bound_sinh_E(m1, sigma1)

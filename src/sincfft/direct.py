@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .special import sinc
 
 _CHUNK = 512
 
@@ -91,7 +90,8 @@ def ndft_direct(c, x, compensated=False):
 
 
 def sinc_transform_direct(c, a, b, N, compensated=False):
-    """Discrete sinc transform ``sum_k c_k sinc(N pi (b_j - a_k))``."""
+    """Discrete sinc transform ``sum_k c_k sinc(N pi (b_j - a_k))``, with the
+    unnormalized ``sinc(y) = sin(y)/y``; ``a`` and ``b`` must be finite."""
     c = np.ascontiguousarray(c, dtype=complex)
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
@@ -99,15 +99,17 @@ def sinc_transform_direct(c, a, b, N, compensated=False):
     _check_1d("b", b)
     if a.shape != c.shape:
         raise ParameterError("c and a must have the same length")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ParameterError("sinc_transform_direct: nodes must be finite")
     out = np.empty(b.size, dtype=complex)
     if compensated:
         for j in range(b.size):
-            kern = sinc(np.pi * N * (b[j] - a))
+            kern = np.sinc(N * (b[j] - a))
             out[j] = (math.fsum(kern * c.real) + 1j * math.fsum(kern * c.imag))
         return out
     for lo in range(0, b.size, _CHUNK):
         bb = b[lo:lo + _CHUNK]
-        kern = sinc(np.pi * N * (bb[:, None] - a[None, :]))
+        kern = np.sinc(N * (bb[:, None] - a[None, :]))
         out[lo:lo + bb.size] = (kern * c).sum(axis=1)
     return out
 

@@ -160,7 +160,7 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
         raise ParameterError("sinc_plan: pass either n or epsilon, not both")
     if n is None:
         if epsilon is not None:
-            n = _bounds.choose_n(int(N), float(epsilon), shape="pow2")
+            n = _bounds.choose_n(int(N), float(epsilon))
         else:
             n = 4 * int(N)
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -188,31 +188,31 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
             raise ParameterError(
                 "sinc_plan: equispaced-targets mode requires L2 = N even and b_l = l/N")
 
-    params = (int(m1), int(m2), float(sigma1), float(sigma2), window1, window2)
-    n_star = fast_bandwidth(int(N), float(sigma1), int(m1))
+    params = (m1, m2, float(sigma1), float(sigma2), window1, window2)
+    n_star = fast_bandwidth(int(N), float(sigma1), m1)
     inner_geometry = NnfftGeometry.from_parameters(
-        n_star, a.size, z.size, float(sigma1), float(sigma2), int(m1), int(m2))
+        n_star, a.size, z.size, float(sigma1), float(sigma2), m1, m2)
 
     if mode in (SincMode.EQUISPACED_SOURCES, SincMode.EQUISPACED_BOTH):
         t = _wrap_half(-(N / (2.0 * a.size)) * z)
-        plan1 = nfft_plan(a.size, t, sigma=float(sigma1), m=int(m1), window=window1)
+        plan1 = nfft_plan(a.size, t, sigma=float(sigma1), m=m1, window=window1)
         gather1 = plan1
     else:
         plan1 = nnfft_plan(n_star, (a * N) / n_star, 0.5 * z,
                            sigma1=float(sigma1), sigma2=float(sigma2),
-                           m1=int(m1), m2=int(m2),
+                           m1=m1, m2=m2,
                            window1=window1, window2=window2)
         gather1 = plan1.stage2
     # alpha_j = w_j g_j: the weight of z_j rides in row j of stage 1's gather
     gather1.spread_val *= quad.weights[:, None]
 
     if mode in (SincMode.EQUISPACED_TARGETS, SincMode.EQUISPACED_BOTH):
-        plan3 = nfft_plan(int(N), -0.5 * z, sigma=float(sigma1), m=int(m1),
+        plan3 = nfft_plan(int(N), -0.5 * z, sigma=float(sigma1), m=m1,
                           window=window1)
     else:
         plan3 = nnfft_plan(n_star, (z * (-0.5 * N)) / n_star, b,
                            sigma1=float(sigma1), sigma2=float(sigma2),
-                           m1=int(m1), m2=int(m2),
+                           m1=m1, m2=m2,
                            window1=window1, window2=window2)
 
     return SincPlan(int(N), int(n), quad, a, b, mode, params, n_star,

@@ -88,7 +88,10 @@ def stencil_matrix(idx, val, n_cols):
 def grid_length(n, sigma, m):
     """The oversampled grid length ``sigma * n`` of a stage with cut-off
     ``m``, or ``None`` unless it is an even integer (within 1e-9) with
-    ``4 m <= sigma * n``."""
+    ``4 m <= sigma * n``; a non-finite ``sigma * n`` raises
+    :class:`ParameterError`."""
+    if not np.isfinite(sigma * n):
+        raise ParameterError(f"sigma * n must be finite, got sigma = {sigma}")
     n_grid = int(round(sigma * n))
     if abs(sigma * n - n_grid) > 1e-9 or n_grid % 2 or 4 * m > n_grid:
         return None
@@ -135,7 +138,7 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
         raise ParameterError("nfft_plan: nodes must lie in [-1/2, 1/2]")
     x = np.clip(x, -0.5, 0.5)
 
-    spec = WindowSpec(window, int(m), float(sigma), n_over)
+    spec = WindowSpec(window, m, float(sigma), n_over)
     # phi_hat on k = -N/2 .. N/2: the adjoint reads the tables backwards
     # (at -k), which needs the one frequency past the band
     k = np.arange(N + 1) - N // 2

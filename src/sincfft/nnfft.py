@@ -78,6 +78,8 @@ class NnfftGeometry:
 
         K = N1 + 2 * m1
         n2f = sigma2 * K
+        if not math.isfinite(n2f):
+            raise ParameterError(f"sigma2 must be finite, got {sigma2}")
         N2 = int(round(n2f))
         if abs(n2f - N2) > 1e-9:
             N2 = math.ceil(n2f)
@@ -113,11 +115,10 @@ class NnfftPlan:
     of the transform.
     """
 
-    def __init__(self, geometry, window1, v, spread_idx, spread_val, stage2):
+    def __init__(self, geometry, window1, spread_idx, spread_val, stage2):
         self.geometry = geometry
         self.window1 = window1
         self.window2 = stage2.window
-        self.v = v
         self.spread_idx = spread_idx
         self.spread_val = spread_val
         self.stage2 = stage2
@@ -130,6 +131,10 @@ def fast_bandwidth(N, sigma1, m1):
     requires) and ``K = N1 + 2 m1`` is a fast FFT length
     (``next_fast_len(K) == K``); with ``sigma2 = 2`` the FFT length ``2K``
     then has no prime factor above 11."""
+    if not 1.0 < sigma1 < math.inf:
+        raise ParameterError(f"sigma1 must be finite and > 1, got {sigma1}")
+    if not isinstance(m1, (int, np.integer)) or m1 < 2:
+        raise ParameterError("m1 must be an integer >= 2")
     start = int(N) + math.ceil(2 * m1 / sigma1)
     for n_star in range(start, start + 100000):
         n1 = grid_length(n_star, sigma1, m1)
@@ -149,11 +154,9 @@ def rescale_frequencies(N, v, sigma1, m1):
     """
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ParameterError("rescale_frequencies: N must be a positive integer")
-    if not sigma1 > 1.0:
-        raise ParameterError("rescale_frequencies: sigma1 must be > 1")
-    if not isinstance(m1, (int, np.integer)) or m1 < 2:
-        raise ParameterError("rescale_frequencies: m1 must be an integer >= 2")
     arr = np.asarray(v, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParameterError("rescale_frequencies: v must be a nonempty 1-d array")
     if not np.all(np.abs(arr) <= 0.5 + _DOMAIN_TOL):
         raise ParameterError("rescale_frequencies: frequencies must lie in [-1/2, 1/2]")
     n_star = fast_bandwidth(N, sigma1, m1)
@@ -188,8 +191,7 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     if x.ndim != 1 or x.size == 0:
         raise ParameterError("nnfft_plan: x must be a nonempty 1-d array")
     geo = NnfftGeometry.from_parameters(N, v.size, x.size,
-                                        float(sigma1), float(sigma2),
-                                        int(m1), int(m2))
+                                        float(sigma1), float(sigma2), m1, m2)
 
     vmax = 0.5 / geo.a
     if not np.all(np.abs(v) <= vmax + _DOMAIN_TOL):
@@ -223,7 +225,7 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     hat1 *= geo.N1
     stage2.spread_val *= np.reciprocal(hat1, out=hat1)[:, None]
 
-    return NnfftPlan(geo, w1, v, spos, sval, stage2)
+    return NnfftPlan(geo, w1, spos, sval, stage2)
 
 
 def nnfft_trafo(plan, f):

@@ -23,7 +23,6 @@ import numpy as np
 from . import fft_core
 from .errors import ParameterError
 from .nfft import nfft_adjoint, nfft_plan
-from .special import sinc
 
 
 def _eps_boundary(n, idx):
@@ -97,7 +96,7 @@ def sinc_expsum_max_error(quad, N, R):
     """Max deviation from ``sinc(pi N x)`` on the grid ``x_r = 2r/R``."""
     approx = sinc_expsum_eval_grid(quad, N, R)
     r = np.arange(R) - R // 2
-    exact = sinc(np.pi * N * (2.0 * r / R))
+    exact = np.sinc(N * (2.0 * r / R))
     return float(np.max(np.abs(approx - exact)))
 
 

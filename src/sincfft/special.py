@@ -1,15 +1,13 @@
-"""Scalar special functions used by the window machinery.
+"""The centered cardinal B-spline used by the B-spline window.
 
-The centered cardinal B-spline and the unnormalized sinc function.  Both
-accept scalars or arrays and return a scalar for scalar input.
-
-The B-spline is a piecewise polynomial: one polynomial per unit piece
-between consecutive breakpoints, with coefficients built once per order from
-exact rationals and evaluated by Horner's rule in the piece's local
-coordinate.  Since ``B_order`` is even, only the pieces of the left half
-are tabulated and every argument is evaluated at ``-|x|``, so the local
-coordinate is the distance from the piece's outer breakpoint; the tail
-pieces then keep full relative accuracy down to the end of the support.
+It accepts scalars or arrays and returns a scalar for scalar input.  It is
+a piecewise polynomial: one polynomial per unit piece between consecutive
+breakpoints, with coefficients built once per order from exact rationals
+and evaluated by Horner's rule in the piece's local coordinate.  Since
+``B_order`` is even, only the pieces of the left half are tabulated and
+every argument is evaluated at ``-|x|``, so the local coordinate is the
+distance from the piece's outer breakpoint; the tail pieces then keep full
+relative accuracy down to the end of the support.
 """
 
 import functools
@@ -19,13 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-
-
-def _prepare(x, name):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name}: argument must be finite")
-    return arr, arr.ndim == 0
 
 
 @functools.lru_cache(maxsize=32)
@@ -69,7 +60,9 @@ def cardinal_bspline(order, x):
     """
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ParameterError("cardinal_bspline: order must be a positive integer")
-    arr, scalar = _prepare(x, "cardinal_bspline")
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("cardinal_bspline: argument must be finite")
     half = order / 2.0
     coef = _bspline_pieces(int(order))
     flat = arr.reshape(-1)
@@ -84,12 +77,4 @@ def cardinal_bspline(order, x):
         out *= t
         out += row[piece]
     out[(flat < -half) | (flat >= half)] = 0.0
-    return float(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def sinc(y):
-    """Unnormalized sinc: ``sin(y)/y`` with value 1 at ``y = 0``."""
-    arr, scalar = _prepare(y, "sinc")
-    safe = np.where(arr == 0.0, 1.0, arr)
-    out = np.where(arr == 0.0, 1.0, np.sin(safe) / safe)
-    return float(out) if scalar else out
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

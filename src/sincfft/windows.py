@@ -11,15 +11,13 @@ actually applied on a grid of ``n_grid`` points with cut-off ``m`` is the
 dilation ``phi(t) = omega(n_grid * t / m)`` with transform
 ``phi_hat(v) = (m / n_grid) * omega_hat(m * v / n_grid)``.
 
-Four shapes are provided:
+Three shapes are provided:
 
 ``sinh``
     ``sinh(beta sqrt(1 - x^2)) / sinh(beta)`` with
     ``beta = 2 pi m (1 - 1/(2 sigma))``; closed-form transform.
 ``bspline``
     centered cardinal B-spline of order ``2m``; closed-form transform.
-``algebraic``
-    ``(1 - x^2)^(beta - 1/2)`` with ``beta = 3m``; closed-form transform.
 ``kaiser-bessel``
     ``I_0(beta sqrt(1 - x^2)) / I_0(beta)`` on the open interval, zero at
     ``|x| >= 1`` (same ``beta`` as the sinh shape); closed-form transform.
@@ -40,9 +38,9 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import ParameterError
-from .special import cardinal_bspline, sinc
+from .special import cardinal_bspline
 
-_KINDS = ("sinh", "bspline", "algebraic", "kaiser-bessel")
+_KINDS = ("sinh", "bspline", "kaiser-bessel")
 
 _SIGMA_TOL = 1e-9
 
@@ -64,8 +62,7 @@ class WindowSpec:
         Cut-off; the window is supported on ``2m`` grid points.
     sigma : float
         Oversampling factor (> 1).  The ``sinh`` shape additionally
-        requires ``5/4 <= sigma <= 2``, the ``algebraic`` shape
-        ``sigma > pi/3``.
+        requires ``5/4 <= sigma <= 2``.
     n_grid : int
         Positive even grid length with ``2m <= n_grid``.
     """
@@ -87,9 +84,6 @@ class WindowSpec:
                 1.25 - _SIGMA_TOL <= self.sigma <= 2.0 + _SIGMA_TOL):
             raise ParameterError(
                 f"sinh window requires 5/4 <= sigma <= 2, got sigma={self.sigma}")
-        if self.kind == "algebraic" and not self.sigma > np.pi / 3.0:
-            raise ParameterError(
-                f"algebraic window requires sigma > pi/3, got sigma={self.sigma}")
         if (not isinstance(self.n_grid, (int, np.integer))
                 or self.n_grid <= 0 or self.n_grid % 2):
             raise ParameterError("n_grid must be a positive even integer")
@@ -100,11 +94,9 @@ class WindowSpec:
     @property
     def beta(self):
         """Shape parameter; ``None`` for the B-spline shape."""
-        if self.kind in ("sinh", "kaiser-bessel"):
-            return 2.0 * np.pi * self.m * (1.0 - 1.0 / (2.0 * self.sigma))
-        if self.kind == "algebraic":
-            return 3.0 * self.m
-        return None
+        if self.kind == "bspline":
+            return None
+        return 2.0 * np.pi * self.m * (1.0 - 1.0 / (2.0 * self.sigma))
 
 
 def _as_array(x):
@@ -165,15 +157,6 @@ def _kaiser_bessel_kernel(spec):
     return kernel
 
 
-def _algebraic_kernel(spec):
-    p = 2.0 * spec.beta - 1.0
-
-    def kernel(y, tmp):
-        _root(y)
-        np.power(y, p, out=y)
-    return kernel
-
-
 def _bspline_kernel(spec):
     order = 2 * spec.m
     b0 = cardinal_bspline(order, 0.0)
@@ -185,7 +168,6 @@ def _bspline_kernel(spec):
 
 
 _KERNELS = {"sinh": _sinh_kernel, "bspline": _bspline_kernel,
-            "algebraic": _algebraic_kernel,
             "kaiser-bessel": _kaiser_bessel_kernel}
 
 
@@ -245,21 +227,18 @@ def _across_w_zero(b, v, series, pos, neg):
 def omega_hat_eval(spec, v):
     """Fourier transform ``omega_hat`` of the shape function at ``v``.
 
-    Closed forms, with ``z = sqrt(beta^2 - 4 pi^2 v^2)`` and ``w = 2 pi v``:
+    Closed forms, with ``z = sqrt(beta^2 - 4 pi^2 v^2)``:
     ``pi beta I_1(z) / (z sinh(beta))`` (sinh), ``2 sinh(z) / (z I_0(beta))``
-    (kaiser-bessel), ``sqrt(pi) Gamma(beta + 1/2) (2/w)^beta J_beta(w)``
-    (algebraic) and ``sinc(pi v / m)^(2m) / (m B_2m(0))`` (bspline).
+    (kaiser-bessel) and ``sinc(pi v / m)^(2m) / (m B_2m(0))`` (bspline,
+    with the unnormalized ``sinc(y) = sin(y)/y``).
     """
     arr, scalar = _as_array(v)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("window transform argument must be finite")
     b = spec.beta
     if spec.kind == "bspline":
         b0 = cardinal_bspline(2 * spec.m, 0.0)
-        out = np.asarray(sinc(np.pi * arr / spec.m), dtype=float) ** (2 * spec.m)
-        out = out / (spec.m * b0)
-    elif spec.kind == "algebraic":
-        # the same closed form as B(1/2, beta + 1/2) 0F1(; beta + 1; -(pi v)^2),
-        # which stays finite at v = 0 and for large beta
-        out = _sp.beta(0.5, b + 0.5) * _sp.hyp0f1(b + 1.0, -(np.pi * arr) ** 2)
+        out = np.sinc(arr / spec.m) ** (2 * spec.m) / (spec.m * b0)
     elif spec.kind == "sinh":
         one_m = -np.expm1(-2.0 * b)  # 1 - e^{-2 beta}
         # pi*beta/sinh(beta), written without evaluating sinh

@@ -97,12 +97,8 @@ def test_cc_bound_behavior():
 
 
 def test_choose_n_crossover():
-    # at eps=1e-8 the integer-multiple shape needs nu=5 up to N=53 and
-    # nu=4 from N=54 on
-    assert bounds.choose_n(53, 1e-8, "multiple") == 5 * 53
-    assert bounds.choose_n(54, 1e-8, "multiple") == 4 * 54
-    assert bounds.choose_n(128, 1e-8, "pow2") == 512
-    n = bounds.choose_n(128, 1e-8, "pow2")
+    assert bounds.choose_n(128, 1e-8) == 512
+    n = bounds.choose_n(128, 1e-8)
     assert bounds.bound_cc_sinc(128, n / 128) < 1e-8
     assert bounds.bound_cc_sinc(128, n / 2 / 128) >= 1e-8
 
@@ -112,24 +108,9 @@ def test_fast_sinc_bound_forms():
     hat = 0.5
     B = e1 + a * e2 / hat
     full = bounds.bound_fast_sinc(eps, e1, e2, a, hat)
-    simp = bounds.bound_fast_sinc(eps, e1, e2, a, hat, simplified=True)
     assert full == pytest.approx(eps + 2 * B + B * B, rel=1e-15)
-    assert simp == pytest.approx(eps + 3 * e1 + 3 * a * e2 / hat, rel=1e-15)
-    assert full <= simp  # B <= 1 here
-    with pytest.raises(ParameterError):
-        bounds.bound_fast_sinc(eps, 2.0, 2.0, 1.5, 1e-3, simplified=True)
-    # the full form has no such restriction
+    # the full form holds also for B > 1
     assert bounds.bound_fast_sinc(eps, 2.0, 2.0, 1.5, 1e-3) > 1.0
-
-
-def test_general_window_bound_shape():
-    # mu -> large kills the tail term; the floor is 2 c1 / omega_hat
-    val = bounds.bound_general_window(0.5, 1.0, 50.0, 4, 2.0, 0.25)
-    assert val == pytest.approx(2 * 0.5 / 0.25, rel=1e-8)
-    with pytest.raises(ParameterError):
-        bounds.bound_general_window(0.5, 1.0, 1.0, 4, 2.0, 0.25)
-    with pytest.raises(ParameterError):
-        bounds.bound_general_window(0.5, 1.0, 2.0, 4, 2.0, 0.0)
 
 
 def test_bound_report_assembles_consistently():
@@ -141,6 +122,9 @@ def test_bound_report_assembles_consistently():
     assert rep.b_term == B and rep.epsilon == rep.cc_bound
     assert rep.fast_sinc_bound_full == pytest.approx(
         rep.cc_bound + 2 * B + B * B, rel=1e-15)
+    assert rep.fast_sinc_bound_simplified == pytest.approx(
+        rep.cc_bound + 3 * rep.e1 + 3 * rep.a * rep.e2 / rep.hat_phi1_half,
+        rel=1e-15)
     assert rep.simplified_valid
     assert rep.fast_sinc_bound_full <= rep.fast_sinc_bound_simplified
     # explicit epsilon overrides the cc level
@@ -161,8 +145,6 @@ def test_parameter_rejections():
         bounds.bound_cc_sinc(0, 4.0)
     with pytest.raises(ParameterError):
         bounds.choose_n(128, 2.0)
-    with pytest.raises(ParameterError):
-        bounds.choose_n(128, 1e-8, "triangle")
 
 
 def test_large_cutoffs_reference_case():

@@ -120,6 +120,14 @@ def test_exit_code_parameter_error(tmp_path):
     assert rc == 2
 
 
+def test_infinite_sigma2_exits_two(tmp_path):
+    # a non-finite oversampling factor is a parameter error, not a numeric one
+    rc = main(["nnfft-error", "--N", "32", "--M1", "4", "--M2", "4",
+               "--m1", "3", "--sigma1", "2.0", "--sigma2", "inf", "--reps", "1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

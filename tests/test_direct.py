@@ -5,7 +5,6 @@ import pytest
 
 from sincfft.direct import ndft_direct, nndft_direct, sinc_transform_direct
 from sincfft.errors import ParameterError
-from sincfft.special import sinc
 
 
 def test_nndft_single_term():
@@ -69,8 +68,8 @@ def test_sinc_transform_small_case():
     c = np.array([1.0 + 0j, 2.0 + 0j])
     N = 4
     out = sinc_transform_direct(c, a, b, N)
-    ref0 = c[0] * sinc(0.0) + c[1] * sinc(np.pi * N * (0.0 - 0.25))
-    ref1 = c[0] * sinc(np.pi * N * (-0.25)) + c[1] * sinc(np.pi * N * (-0.5))
+    ref0 = c[0] * np.sinc(0.0) + c[1] * np.sinc(N * (0.0 - 0.25))
+    ref1 = c[0] * np.sinc(N * (-0.25)) + c[1] * np.sinc(N * (-0.5))
     assert out[0] == pytest.approx(ref0, abs=1e-15)
     assert out[1] == pytest.approx(ref1, abs=1e-15)
 

@@ -1,9 +1,11 @@
 """Every entry point rejects inputs outside its domain: planning functions
-nodes outside [-1/2, 1/2], transforms non-finite coefficients."""
+nodes outside [-1/2, 1/2], fractional cut-offs and non-finite oversampling
+factors, transforms non-finite coefficients."""
 
 import numpy as np
 import pytest
 
+from sincfft.direct import sinc_transform_direct
 from sincfft.errors import ParameterError
 from sincfft.fast_sinc import fast_sinc_transform, sinc_plan
 from sincfft.nfft import nfft_adjoint, nfft_plan, nfft_trafo
@@ -35,3 +37,32 @@ def test_nan_node_is_rejected(entry):
         bad[1] = value
         with pytest.raises(ParameterError):
             call(bad)
+
+
+NAN, INF = np.nan, np.inf
+BAD_PARAMETERS = {
+    "nfft_plan-m": lambda: nfft_plan(16, GOOD, m=4.5),
+    "nfft_plan-sigma-nan": lambda: nfft_plan(16, GOOD, sigma=NAN),
+    "nfft_plan-sigma-inf": lambda: nfft_plan(16, GOOD, sigma=INF),
+    "nfft_plan-sigma-neginf": lambda: nfft_plan(16, GOOD, sigma=-INF),
+    "nnfft_plan-m1": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, m1=3.7),
+    "nnfft_plan-m2": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, m2=4.2),
+    "nnfft_plan-sigma1-inf": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, sigma1=INF),
+    "nnfft_plan-sigma2-inf": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, sigma2=INF),
+    "sinc_plan-m1": lambda: sinc_plan(32, GOOD, GOOD, m1=6.9, m2=6.9),
+    "sinc_plan-m2": lambda: sinc_plan(32, GOOD, GOOD, m2=6.9),
+    "sinc_plan-sigma1-nan": lambda: sinc_plan(32, GOOD, GOOD, sigma1=NAN),
+    "sinc_plan-sigma1-inf": lambda: sinc_plan(32, GOOD, GOOD, sigma1=INF),
+    "sinc_plan-sigma1-neginf": lambda: sinc_plan(32, GOOD, GOOD, sigma1=-INF),
+    "sinc_plan-sigma2-inf": lambda: sinc_plan(32, GOOD, GOOD, sigma2=INF),
+    "rescale_frequencies-2d": lambda: rescale_frequencies(16, np.zeros((2, 3)), 2.0, 4),
+    "rescale_frequencies-empty": lambda: rescale_frequencies(16, np.zeros(0), 2.0, 4),
+    "sinc_transform_direct-nan": lambda: sinc_transform_direct(
+        np.ones(4), np.where(GOOD == 0.0, NAN, GOOD), GOOD, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+def test_bad_parameter_is_rejected(case):
+    with pytest.raises(ParameterError):
+        BAD_PARAMETERS[case]()

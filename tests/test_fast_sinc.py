@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sincfft import bounds
 from sincfft.direct import sinc_transform_direct
@@ -46,25 +48,32 @@ def test_accuracy_below_certificate(layout):
         assert cert["full"] <= cert["simplified"] + 1e-18
 
 
-def test_forced_general_matches_fast_path():
-    # every equispaced layout against GENERAL on the same nodes; the CC
-    # weights ride in the gather rows of whichever stage 1 the layout has
-    rng = np.random.default_rng(5)
-    N, L1 = 64, 32
-    a_random, a_grid = _random_nodes(rng, L1), _grid(L1)
-    b_grid = _grid(N)
+@settings(max_examples=60, deadline=None)
+@given(half_N=st.integers(min_value=8, max_value=64),
+       half_L1=st.integers(min_value=8, max_value=64),
+       mode=st.sampled_from([SincMode.EQUISPACED_TARGETS,
+                             SincMode.EQUISPACED_SOURCES,
+                             SincMode.EQUISPACED_BOTH]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_forced_general_matches_fast_path(half_N, half_L1, mode, seed):
+    # every equispaced layout against GENERAL on the same nodes, for even
+    # N and L1 from 16 (the smallest grids that admit the m1 = 8 NFFT) to
+    # 128; the CC weights ride in the gather rows of whichever stage 1 the
+    # layout has
+    rng = np.random.default_rng(seed)
+    N, L1 = 2 * half_N, 2 * half_L1
+    grid_sources = mode is not SincMode.EQUISPACED_TARGETS
+    grid_targets = mode is not SincMode.EQUISPACED_SOURCES
+    a = _grid(L1) if grid_sources else _random_nodes(rng, L1)
+    b = _grid(N) if grid_targets else _random_nodes(rng, 40)
     c = rng.uniform(-1, 1, L1) + 1j * rng.uniform(-1, 1, L1)
-    b_random = _random_nodes(rng, 40)
-    for mode, a, b in ((SincMode.EQUISPACED_TARGETS, a_random, b_grid),
-                       (SincMode.EQUISPACED_SOURCES, a_grid, b_random),
-                       (SincMode.EQUISPACED_BOTH, a_grid, b_grid)):
-        auto = sinc_plan(N, a, b, m1=8, m2=8)
-        forced = sinc_plan(N, a, b, m1=8, m2=8, mode="general")
-        assert auto.mode is mode
-        assert forced.mode is SincMode.GENERAL
-        fa = fast_sinc_transform(auto, c)
-        ff = fast_sinc_transform(forced, c)
-        assert np.max(np.abs(fa - ff)) < 1e-11 * np.sum(np.abs(c)), mode
+    auto = sinc_plan(N, a, b, m1=8, m2=8)
+    forced = sinc_plan(N, a, b, m1=8, m2=8, mode="general")
+    assert auto.mode is mode
+    assert forced.mode is SincMode.GENERAL
+    fa = fast_sinc_transform(auto, c)
+    ff = fast_sinc_transform(forced, c)
+    assert np.max(np.abs(fa - ff)) < 1e-11 * np.sum(np.abs(c))
 
 
 def test_epsilon_selects_power_of_two():

@@ -1,4 +1,4 @@
-"""B-spline and sinc helpers against independent references."""
+"""The cardinal B-spline against independent references."""
 
 import warnings
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sincfft.errors import ParameterError
-from sincfft.special import cardinal_bspline, sinc
+from sincfft.special import cardinal_bspline
 
 
 def test_bspline_known_center_values():
@@ -82,12 +82,3 @@ def test_bspline_shifted_sum_is_one():
     x = np.linspace(-0.5, 0.5, 101)
     total = sum(cardinal_bspline(4, x - k) for k in range(-4, 5))
     assert np.allclose(total, 1.0, atol=1e-14)
-
-
-def test_sinc_values():
-    assert sinc(0.0) == 1.0
-    assert sinc(1.0) == pytest.approx(0.841470984807897, rel=1e-14)
-    assert sinc(np.pi) == pytest.approx(0.0, abs=1e-15)
-    y = np.array([0.0, 1e-12, np.pi, 2 * np.pi])
-    out = sinc(y)
-    assert out[0] == 1.0 and abs(out[1] - 1.0) < 1e-12
