@@ -63,12 +63,21 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _timed(args, row, tic):
+    # the wall-clock column of --time, when asked for
+    return row + [time.perf_counter() - tic] if args.time else row
+
+
+def _write_csv(args, header, rows):
+    if getattr(args, "time", False):
+        header = header + ["time_s"]
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("# schema=1\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    return 0
 
 
 def _nnfft_bound_or_none(N, sigma1, sigma2, m1, m2, window1, window2):
@@ -93,8 +102,6 @@ def run_nnfft_error(args):
 
     header = ["N", "M1", "M2", "window1", "window2", "m1", "m2",
               "sigma1", "sigma2", "reps", "seed", "measured", "bound"]
-    if args.time:
-        header.append("time_s")
     rows = []
     tuple_index = 0
     for sigma1 in sigma1_list:
@@ -114,18 +121,13 @@ def run_nnfft_error(args):
                 err = np.max(np.abs(nndft_direct(f, v, x, N) - nnfft_trafo(plan, f)))
                 worst = max(worst, err / np.sum(np.abs(f)))
             bound = _nnfft_bound_or_none(N, sigma1, sigma2, m1, m2, window1, window2)
-            row = [N, M1, M2, window1, window2, m1, m2, sigma1, sigma2,
-                   reps, args.seed, worst, bound]
-            if args.time:
-                row.append(time.perf_counter() - tic)
-            rows.append(row)
+            rows.append(_timed(args, [N, M1, M2, window1, window2, m1, m2, sigma1,
+                                      sigma2, reps, args.seed, worst, bound], tic))
             print(f"nnfft-error: sigma1={sigma1:g} m1={m1} m2={m2} "
                   f"measured={worst:.3e} bound="
                   + (f"{bound:.3e}" if bound is not None else "n/a"))
             tuple_index += 1
-    _write_csv(args.out, header, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
+    return _write_csv(args, header, rows)
 
 
 def run_sinc_approx(args):
@@ -135,8 +137,6 @@ def run_sinc_approx(args):
     R = args.R if args.R is not None else (300000 if paper else 10000)
 
     header = ["N", "nu", "n", "R", "measured", "bound"]
-    if args.time:
-        header.append("time_s")
     rows = []
     for N in N_list:
         for nu in nu_list:
@@ -145,14 +145,9 @@ def run_sinc_approx(args):
             quad = cc_quadrature(n)
             measured = sinc_expsum_max_error(quad, N, R)
             bound = _bounds.bound_cc_sinc(N, float(nu))
-            row = [N, nu, n, R, measured, bound]
-            if args.time:
-                row.append(time.perf_counter() - tic)
-            rows.append(row)
+            rows.append(_timed(args, [N, nu, n, R, measured, bound], tic))
             print(f"sinc-approx: N={N} nu={nu} measured={measured:.3e} bound={bound:.3e}")
-    _write_csv(args.out, header, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
+    return _write_csv(args, header, rows)
 
 
 def run_sinc_transform(args):
@@ -166,8 +161,6 @@ def run_sinc_transform(args):
     header = ["N", "L1", "L2", "nu", "n", "m1", "m2", "sigma1", "sigma2",
               "window1", "window2", "reps", "seed", "measured", "epsilon",
               "bound_full", "bound_simplified", "assump_ok"]
-    if args.time:
-        header.append("time_s")
     rows = []
     tuple_index = 0
     for N in N_list:
@@ -196,18 +189,15 @@ def run_sinc_transform(args):
                 simp, ok = rep_info["simplified"], rep_info["simplified_valid"]
             else:
                 eps = full = simp = ok = None
-            row = [N, L1, N, nu, n, args.m1, args.m2, args.sigma1, args.sigma2,
-                   window1, window2, reps, args.seed, worst, eps, full, simp, ok]
-            if args.time:
-                row.append(time.perf_counter() - tic)
-            rows.append(row)
+            rows.append(_timed(args, [N, L1, N, nu, n, args.m1, args.m2,
+                                      args.sigma1, args.sigma2, window1, window2,
+                                      reps, args.seed, worst, eps, full, simp, ok],
+                               tic))
             msg = f"{worst:.3e}" if worst is not None else "n/a (direct oracle capped)"
             print(f"sinc-transform: N={N} nu={nu} measured={msg} bound_full="
                   + (f"{full:.3e}" if full is not None else "n/a"))
             tuple_index += 1
-    _write_csv(args.out, header, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
+    return _write_csv(args, header, rows)
 
 
 def run_bounds(args):
@@ -235,9 +225,7 @@ def run_bounds(args):
                             + [report.fast_sinc_bound_full,
                                report.fast_sinc_bound_simplified,
                                report.simplified_valid])
-    _write_csv(args.out, header, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
+    return _write_csv(args, header, rows)
 
 
 def _add_window_args(p):
@@ -246,6 +234,17 @@ def _add_window_args(p):
                    help="window shape of the first gridding stage")
     p.add_argument("--window2", default="sinh", choices=kinds,
                    help="window shape of the second gridding stage")
+
+
+def _add_run_args(p, out, preset, draws=True):
+    if draws:
+        p.add_argument("--reps", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--paper", action="store_true",
+                   help=f"use the large preset ({preset})")
+    p.add_argument("--out", default=out)
+    p.add_argument("--time", action="store_true",
+                   help="append a wall-clock column (breaks byte determinism)")
 
 
 def _build_parser():
@@ -269,14 +268,8 @@ def _build_parser():
     p.add_argument("--sigma2", type=float, default=None,
                    help="second-stage oversampling (default: equal to sigma1)")
     _add_window_args(p)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paper", action="store_true",
-                   help="use the large preset (N=1200, M1=2400, M2=1600, "
-                        "m1=2..8, 100 repetitions)")
-    p.add_argument("--out", default="nnfft_error.csv")
-    p.add_argument("--time", action="store_true",
-                   help="append a wall-clock column (breaks byte determinism)")
+    _add_run_args(p, "nnfft_error.csv", "N=1200, M1=2400, M2=1600, m1=2..8, "
+                                        "100 repetitions")
     p.set_defaults(func=run_nnfft_error)
 
     p = sub.add_parser("sinc-approx",
@@ -285,10 +278,7 @@ def _build_parser():
     p.add_argument("--nu", type=int, nargs="+", default=None,
                    help="oversampling factors n = nu*N")
     p.add_argument("--R", type=int, default=None, help="evaluation grid size")
-    p.add_argument("--paper", action="store_true",
-                   help="use the large preset (nu=1..10, R=300000)")
-    p.add_argument("--out", default="sinc_approx.csv")
-    p.add_argument("--time", action="store_true")
+    _add_run_args(p, "sinc_approx.csv", "nu=1..10, R=300000", draws=False)
     p.set_defaults(func=run_sinc_approx)
 
     p = sub.add_parser("sinc-transform",
@@ -302,15 +292,10 @@ def _build_parser():
     p.add_argument("--sigma1", type=float, default=2.0)
     p.add_argument("--sigma2", type=float, default=2.0)
     _add_window_args(p)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--direct-cap", type=int, default=2048, dest="direct_cap",
                    help="largest N for which the quadratic oracle runs")
-    p.add_argument("--paper", action="store_true",
-                   help="use the large preset (N=2^5..2^13, nu in {4,6,8}, "
-                        "100 repetitions)")
-    p.add_argument("--out", default="sinc_transform.csv")
-    p.add_argument("--time", action="store_true")
+    _add_run_args(p, "sinc_transform.csv", "N=2^5..2^13, nu in {4,6,8}, "
+                                           "100 repetitions")
     p.set_defaults(func=run_sinc_transform)
 
     p = sub.add_parser("bounds", help="bound tables only, no measurements")

@@ -1,10 +1,12 @@
 """Slow exact reference transforms.
 
-Plain vectorized summation in a fixed order: terms are laid out along the
-ascending coefficient index and reduced with numpy's deterministic pairwise
-sum, so repeated runs on one platform give bit-identical results.  With
-``compensated=True`` the real and imaginary parts are instead accumulated
-with :func:`math.fsum` (slower, per-output Python loop).
+Plain vectorized summation in a fixed order: the terms are made in blocks
+of at most 4096 along the ascending coefficient index, each block is
+reduced with numpy's deterministic pairwise sum and the blocks are added
+in order, so repeated runs on one platform give bit-identical results and
+no temporary grows with the input.  With ``compensated=True`` the same
+terms are accumulated with :func:`math.fsum` instead (slower, one target
+at a time).  A NaN or infinite input raises :class:`ParameterError`.
 
 These are the oracles the fast transforms are tested against; they are
 quadratic in the problem size.
@@ -18,10 +20,56 @@ from .errors import ParameterError
 
 _CHUNK = 512
 
+#: Terms per block of a plain sum: 64 KiB of complex values, below glibc's
+#: 128 KiB mmap threshold, so no call maps fresh pages.
+_TERMS = 4096
 
-def _check_1d(name, arr):
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError(f"{name} must be a nonempty 1-d array")
+
+def _finite(who, values):
+    # a NaN or infinite input reaches the terms and the sums as NaN or inf
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{who}: input and sums must be finite")
+    return values
+
+
+def _sum(who, coef, freq, targets, term, compensated):
+    # out_j = sum_k coef_k t_jk, where term(rows, fb, buf) writes into buf
+    # the t_jk of those targets and of the frequencies (or sources) fb.  A
+    # plain sum runs over blocks of at most _TERMS terms; a compensated one
+    # makes all terms of one target and accumulates them with math.fsum
+    coef = np.ascontiguousarray(coef, dtype=complex)
+    freq = np.ascontiguousarray(freq, dtype=float)
+    targets = np.ascontiguousarray(targets, dtype=float)
+    if coef.ndim != 1 or targets.ndim != 1 or not (coef.size and targets.size):
+        raise ParameterError(f"{who}: need nonempty 1-d coefficients, targets")
+    if freq.shape != coef.shape:
+        raise ParameterError(f"{who}: need a frequency (source) per coefficient")
+    width = coef.size if compensated else min(coef.size, _TERMS)
+    height = 1 if compensated else max(1, _TERMS // width)
+    out = np.zeros(targets.size, dtype=complex)
+    buf = np.empty(height * width, dtype=complex)
+    for lo in range(0, targets.size, height):
+        rows = targets[lo:lo + height]
+        for c0 in range(0, coef.size, width):
+            cb = coef[c0:c0 + width]
+            block = buf[:rows.size * cb.size].reshape(rows.size, cb.size)
+            term(rows, freq[c0:c0 + width], block)
+            block *= cb
+            if compensated:
+                t = _finite(who, block[0])
+                out[lo] = math.fsum(t.real) + 1j * math.fsum(t.imag)
+            else:
+                out[lo:lo + rows.size] += block.sum(axis=1)
+    return _finite(who, out)
+
+
+def _exp_terms(scale):
+    # the terms e^{scale x_j v_k}, the phase formed as scale * (x_j v_k)
+    def term(xb, vb, buf):
+        np.multiply(xb[:, None], vb, out=buf)
+        buf *= scale
+        np.exp(buf, out=buf)
+    return term
 
 
 def nndft_direct(f, v, x, N, compensated=False):
@@ -43,24 +91,8 @@ def nndft_direct(f, v, x, N, compensated=False):
     compensated : bool, optional
         Use compensated (fsum) accumulation.
     """
-    f = np.ascontiguousarray(f, dtype=complex)
-    v = np.ascontiguousarray(v, dtype=float)
-    x = np.ascontiguousarray(x, dtype=float)
-    _check_1d("f", f)
-    _check_1d("x", x)
-    if v.shape != f.shape:
-        raise ParameterError("f and v must have the same length")
-    out = np.empty(x.size, dtype=complex)
-    if compensated:
-        for j in range(x.size):
-            terms = f * np.exp((-2j * np.pi * N * x[j]) * v)
-            out[j] = math.fsum(terms.real) + 1j * math.fsum(terms.imag)
-        return out
-    for lo in range(0, x.size, _CHUNK):
-        xb = x[lo:lo + _CHUNK]
-        phase = np.exp((-2j * np.pi * N) * np.outer(xb, v))
-        out[lo:lo + xb.size] = (phase * f).sum(axis=1)
-    return out
+    return _sum("nndft_direct", f, v, x, _exp_terms(-2j * np.pi * N),
+                compensated)
 
 
 def ndft_direct(c, x, compensated=False):
@@ -69,49 +101,19 @@ def ndft_direct(c, x, compensated=False):
     ``N = len(c)`` must be even; the frequency index runs over
     ``I_N = {-N/2, ..., N/2 - 1}`` in ascending order.
     """
-    c = np.ascontiguousarray(c, dtype=complex)
-    x = np.ascontiguousarray(x, dtype=float)
-    _check_1d("c", c)
-    _check_1d("x", x)
-    if c.size % 2:
+    size = np.size(c)
+    if size % 2:
         raise ParameterError("ndft_direct: len(c) must be even")
-    k = np.arange(c.size) - c.size // 2
-    out = np.empty(x.size, dtype=complex)
-    if compensated:
-        for j in range(x.size):
-            terms = c * np.exp((2j * np.pi * x[j]) * k)
-            out[j] = math.fsum(terms.real) + 1j * math.fsum(terms.imag)
-        return out
-    for lo in range(0, x.size, _CHUNK):
-        xb = x[lo:lo + _CHUNK]
-        phase = np.exp(2j * np.pi * np.outer(xb, k))
-        out[lo:lo + xb.size] = (phase * c).sum(axis=1)
-    return out
+    return _sum("ndft_direct", c, np.arange(size) - size // 2, x,
+                _exp_terms(2j * np.pi), compensated)
 
 
 def sinc_transform_direct(c, a, b, N, compensated=False):
     """Discrete sinc transform ``sum_k c_k sinc(N pi (b_j - a_k))``, with the
-    unnormalized ``sinc(y) = sin(y)/y``; ``a`` and ``b`` must be finite."""
-    c = np.ascontiguousarray(c, dtype=complex)
-    a = np.ascontiguousarray(a, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    _check_1d("c", c)
-    _check_1d("b", b)
-    if a.shape != c.shape:
-        raise ParameterError("c and a must have the same length")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ParameterError("sinc_transform_direct: nodes must be finite")
-    out = np.empty(b.size, dtype=complex)
-    if compensated:
-        for j in range(b.size):
-            kern = np.sinc(N * (b[j] - a))
-            out[j] = (math.fsum(kern * c.real) + 1j * math.fsum(kern * c.imag))
-        return out
-    for lo in range(0, b.size, _CHUNK):
-        bb = b[lo:lo + _CHUNK]
-        kern = np.sinc(N * (bb[:, None] - a[None, :]))
-        out[lo:lo + bb.size] = (kern * c).sum(axis=1)
-    return out
+    unnormalized ``sinc(y) = sin(y)/y``."""
+    def kernel(bb, ab, buf):
+        buf[...] = np.sinc(N * (bb[:, None] - ab))
+    return _sum("sinc_transform_direct", c, a, b, kernel, compensated)
 
 
 def cc_weights_direct(n):

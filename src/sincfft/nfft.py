@@ -11,6 +11,10 @@ crops it, in the adjoint), and the FFT runs in place on that buffer as
 ``P`` interleaved FFTs of length ``sigma * N / P >= N`` (:func:`block_count`):
 with ``sigma = 2`` the band fills two half-length FFTs instead of half of
 one zero-padded FFT.
+
+Every window table, the gather of an NFFT and the spread of an NNFFT
+alike, comes from :func:`stencil_table`, which writes it in place with no
+other array of its size.
 """
 
 import numpy as np
@@ -85,6 +89,38 @@ def stencil_matrix(idx, val, n_cols):
                                   shape=(idx.shape[0], n_cols))
 
 
+def stencil_table(spec, u, shift=None):
+    """Positions ``floor(u_j) + l`` (int32) and weights ``phi(t_j/n - l/n)``
+    (float), ``l = 1-m .. m``, of the nodes at grid coordinates
+    ``u = n x`` (``n = spec.n_grid``, ``t_j = u_j - floor(u_j)``), as
+    C-contiguous ``(M, 2m)`` tables.  The positions wrap onto ``0 .. n-1``
+    (``shift=None``) or are moved by ``shift``.  The window arguments are
+    evaluated in the weight table itself, and a row with ``t_j = 0`` ends
+    in the window's exact zero at ``-m/n``."""
+    m, n = spec.m, spec.n_grid
+    base = np.floor(u)
+    start = base.astype(np.int32) + (1 - m if shift is None else 1 - m + shift)
+    t = np.subtract(u, base, out=base) / n
+    val = _rows(t, np.arange(m - 1.0, -m - 1.0, -1.0) / n)
+    phi_eval(spec, val, out=val)
+    if shift is None:
+        start += n * (start < 0)
+    idx = _rows(start, np.arange(2 * m, dtype=np.int32))
+    if shift is None:  # the few rows that run past the end of the grid
+        idx[np.flatnonzero(start > n - 2 * m)] %= n
+    return idx, val
+
+
+def _rows(column, row):
+    # column[:, None] + row without a numpy loop per short row: column
+    # repeated, then row added in blocks of whole rows
+    out = np.repeat(column, row.size)
+    pattern = np.tile(row, max(1, 16384 // row.size))
+    for lo in range(0, out.size, pattern.size):
+        out[lo:lo + pattern.size] += pattern[:out.size - lo]
+    return out.reshape(-1, row.size)
+
+
 def grid_length(n, sigma, m):
     """The oversampled grid length ``sigma * n`` of a stage with cut-off
     ``m``, or ``None`` unless it is an even integer (within 1e-9) with
@@ -139,25 +175,23 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     x = np.clip(x, -0.5, 0.5)
 
     spec = WindowSpec(window, m, float(sigma), n_over)
-    # phi_hat on k = -N/2 .. N/2: the adjoint reads the tables backwards
-    # (at -k), which needs the one frequency past the band
-    k = np.arange(N + 1) - N // 2
-    d = np.asarray(phi_hat_eval(spec, k), dtype=float)
-    if np.any(d <= 0.0):
+    # phi_hat on k = -N/2 .. N/2 (the adjoint reads the tables backwards, at
+    # -k, which needs the one frequency past the band); even, so mirrored
+    h = N // 2
+    d = np.empty(N + 1)
+    d[h:] = phi_hat_eval(spec, np.arange(h + 1))
+    if np.any(d[h:] <= 0.0):
         raise PositivityError(
             "nfft_plan: window transform must be strictly positive on the "
             "frequency band; choose a larger sigma or a different window")
+    d[:h] = d[:h:-1]
     d *= n_over
     np.reciprocal(d, out=d)
 
-    # fixed 2m-point stencil around floor(n_over * x); boundary entries may
-    # carry an exact window zero, which keeps every row the same length
-    idx = (np.floor(n_over * x).astype(np.int32)[:, None]
-           + np.arange(1 - m, m + 1, dtype=np.int32))
-    val = np.asarray(phi_eval(spec, x[:, None] - idx / n_over), dtype=float)
-    np.mod(idx, n_over, out=idx)
+    idx, val = stencil_table(spec, n_over * x)
     # made after the stencil, so that it does not add to the stencil's peak
     P = block_count(n_over, N)
+    k = np.arange(N + 1) - h
     twiddle = d * np.exp((2j * np.pi / n_over) * np.outer(np.arange(1, P), k))
     return NfftPlan(int(N), n_over, spec, x, idx, val, d, twiddle)
 

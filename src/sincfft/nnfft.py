@@ -11,9 +11,10 @@ polynomial of degree ``K`` these grid values define at the nodes
 ``N2`` points), and finally dividing by ``N1 phi_hat_1(N x_j)``.  Cost is
 ``O(m1 M1 + N2 log N2 + m2 M2)`` instead of ``O(M1 M2)``.
 
-The spread is one sparse stencil matrix built at plan time; the second
-stage is an :class:`~sincfft.nfft.NfftPlan` whose gather rows carry the
-final division, so an apply is two sparse products around one FFT.
+The spread is one sparse stencil matrix built at plan time by
+:func:`~sincfft.nfft.stencil_table`, which makes every window table; the
+second stage is an :class:`~sincfft.nfft.NfftPlan` whose gather rows carry
+the final division, so an apply is two sparse products around one FFT.
 
 Frequencies must satisfy ``|v_k| <= 1/(2a)`` with ``a = 1 + 2 m1 / N1``;
 :func:`rescale_frequencies` maps data given on ``[-1/2, 1/2]`` onto an
@@ -29,11 +30,10 @@ import scipy.fft
 
 from . import fft_core
 from .errors import ParameterError, PositivityError
-from .nfft import (as_coefficients, grid_length, nfft_plan, nfft_trafo,
-                   stencil_matrix)
+from .nfft import (_DOMAIN_TOL, as_coefficients, grid_length, nfft_plan,
+                   nfft_trafo, stencil_matrix, stencil_table)
+# phi_eval stays importable here for tracers that rebind it per module
 from .windows import WindowSpec, phi_eval, phi_hat_eval
-
-_DOMAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,9 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
             "nnfft_plan: phi_hat_1(N x_j) must be strictly positive at every node")
     K = geo.N1 + 2 * geo.m1
 
-    # spreading table: phi_1(l/N1 - v_k) on the fixed 2*m1 stencil around
-    # floor(N1 v_k); |v_k| <= 1/(2a) keeps it inside 0..K-1
-    spos = (np.floor(geo.N1 * v).astype(np.int32)[:, None]
-            + np.arange(1 - geo.m1, geo.m1 + 1, dtype=np.int32))
-    sval = np.asarray(phi_eval(w1, spos / geo.N1 - v[:, None]), dtype=float)
-    spos += K // 2
+    # spreading table: phi_1 on the 2*m1 coarse-grid points around N1 v_k,
+    # moved by K/2 onto 0..K-1, which |v_k| <= 1/(2a) keeps them inside
+    spos, sval = stencil_table(w1, geo.N1 * v, shift=K // 2)
 
     # second stage: the NFFT of degree K at -x_j/sigma1 (with the exact
     # grid ratio N/N1)

@@ -22,14 +22,15 @@ Three shapes are provided:
     ``I_0(beta sqrt(1 - x^2)) / I_0(beta)`` on the open interval, zero at
     ``|x| >= 1`` (same ``beta`` as the sinh shape); closed-form transform.
 
-:func:`omega_eval` and :func:`phi_eval` fill one preallocated output in
-blocks of a fixed number of elements.  A plan tabulates millions of window
-values at once and each shape formula needs several temporaries; per
-block they stay in cache and take constant memory instead of growing with
-the table.  Each shape's kernel computes only what that shape needs,
-elementwise in the same order of operations, so the values do not depend
-on the blocking.  Non-finite arguments raise :class:`ParameterError`;
-huge finite ones lie outside the support.
+:func:`omega_eval` and :func:`phi_eval` fill one output in blocks of a
+fixed number of elements; ``phi_eval(spec, t, out=t)`` overwrites its
+argument.  A plan tabulates millions of window values at once and each
+shape formula needs several temporaries; per block they stay in cache and
+take constant memory instead of growing with the table.  Each shape's
+kernel computes only what that shape needs, elementwise in the same order
+of operations, so the values do not depend on the blocking.  Non-finite
+arguments raise :class:`ParameterError`; huge finite ones lie outside the
+support.
 """
 
 from dataclasses import dataclass
@@ -99,11 +100,6 @@ class WindowSpec:
         return 2.0 * np.pi * self.m * (1.0 - 1.0 / (2.0 * self.sigma))
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 #: Elements per block of :func:`_eval_blocked`: the block's few temporaries
 #: stay in cache and no temporary grows with the input.
 _BLOCK = 16384
@@ -171,25 +167,29 @@ _KERNELS = {"sinh": _sinh_kernel, "bspline": _bspline_kernel,
             "kaiser-bessel": _kaiser_bessel_kernel}
 
 
-def _eval_blocked(spec, x, scale):
-    # omega(scale * x) into one preallocated output, _BLOCK elements at a
-    # time; arguments are clipped to |x| <= 2/scale (outside the support,
-    # unchanged inside it) so that huge finite ones cannot overflow
-    arr, scalar = _as_array(x)
+def _eval_blocked(spec, x, width, out=None):
+    # omega(x / width) into one output, _BLOCK elements at a time; arguments
+    # are clipped to |x| <= 2 width (outside the support, unchanged inside
+    # it) so that huge finite ones cannot overflow.  Dividing by the width
+    # maps an argument of +-width, however rounded, to exactly +-1.
+    arr = np.asarray(x, dtype=float)
     src = arr.reshape(-1)
-    out = np.empty(src.size)
+    out = np.empty(arr.shape) if out is None else out
+    if out.shape != arr.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ParameterError("out must be a C-contiguous float array like x")
+    dst = out.reshape(-1)
     kernel = _KERNELS[spec.kind](spec)
     tmp = np.empty(min(_BLOCK, src.size))
-    lim = 2.0 / scale
+    lim = 2.0 * width
     for start in range(0, src.size, _BLOCK):
         block = src[start:start + _BLOCK]
         if not np.isfinite(block).all():
             raise ParameterError("window argument must be finite")
-        y = out[start:start + _BLOCK]
+        y = dst[start:start + _BLOCK]
         np.clip(block, -lim, lim, out=y)
-        np.multiply(y, scale, out=y)
+        np.divide(y, width, out=y)
         kernel(y, tmp[:y.size])
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(dst[0]) if arr.ndim == 0 else out
 
 
 def omega_eval(spec, x):
@@ -232,7 +232,7 @@ def omega_hat_eval(spec, v):
     (kaiser-bessel) and ``sinc(pi v / m)^(2m) / (m B_2m(0))`` (bspline,
     with the unnormalized ``sinc(y) = sin(y)/y``).
     """
-    arr, scalar = _as_array(v)
+    arr = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("window transform argument must be finite")
     b = spec.beta
@@ -256,12 +256,13 @@ def omega_hat_eval(spec, v):
             # 2 sinh(z) / (z I0(beta)) = (1 - e^{-2z}) e^{z - beta} / (z i0e(beta))
             lambda z: -np.expm1(-2.0 * z) * np.exp(z - b) / (z * i0e),
             lambda y: pref * np.sin(y) / y)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
-def phi_eval(spec, t):
-    """Grid window ``phi(t) = omega(n_grid * t / m)`` at finite ``t``."""
-    return _eval_blocked(spec, t, spec.n_grid / spec.m)
+def phi_eval(spec, t, out=None):
+    """Grid window ``phi(t) = omega(t / (m / n_grid))`` at finite ``t``, into
+    ``out`` if given: a C-contiguous float array of t's shape, ``t`` too."""
+    return _eval_blocked(spec, t, spec.m / spec.n_grid, out)
 
 
 def phi_hat_eval(spec, v):

@@ -1,5 +1,7 @@
 """Exact quadratic-cost references: determinism and hand-checked values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,39 @@ def test_direct_linearity():
     lhs = nndft_direct(f1 + 2.5 * f2, v, x, 12)
     rhs = nndft_direct(f1, v, x, 12) + 2.5 * nndft_direct(f2, v, x, 12)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+# the plain sums run in blocks of 4096 terms: one block, several targets
+# per block, and two full blocks plus a remainder along each target
+@pytest.mark.parametrize("terms, targets", [(300, 17), (100, 50),
+                                            (2 * 4096 + 5, 3)])
+def test_blocked_sums_agree_with_compensated(terms, targets):
+    rng = np.random.default_rng(terms)
+    c = rng.uniform(-1, 1, terms) + 1j * rng.uniform(-1, 1, terms)
+    a = rng.uniform(-0.5, 0.5, terms)
+    x = rng.uniform(-0.5, 0.5, targets)
+    even = c[:terms // 2 * 2]
+    for call, coef in ((lambda **kw: nndft_direct(c, a, x, 8, **kw), c),
+                       (lambda **kw: ndft_direct(even, x, **kw), even),
+                       (lambda **kw: sinc_transform_direct(c, a, x, 8, **kw), c)):
+        fast, slow = call(), call(compensated=True)
+        assert fast.shape == (targets,)
+        assert np.max(np.abs(fast - slow)) < 1e-13 * np.sum(np.abs(coef))
+
+
+def test_oracle_temporaries_do_not_grow_with_the_input():
+    # one target against 131072 coefficients, as a sampled spot check
+    # calls it: blocks of 4096 terms, never a row of all of them
+    rng = np.random.default_rng(11)
+    M1 = 131072
+    f = rng.standard_normal(M1) + 1j * rng.standard_normal(M1)
+    v = rng.uniform(-0.5, 0.5, M1)
+    x = np.array([0.3])
+    nndft_direct(f, v, x, 1000)  # first call: one-time costs
+    tracemalloc.start()
+    try:
+        out = nndft_direct(f, v, x, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024 + out.nbytes

@@ -1,11 +1,12 @@
 """Every entry point rejects inputs outside its domain: planning functions
 nodes outside [-1/2, 1/2], fractional cut-offs and non-finite oversampling
-factors, transforms non-finite coefficients."""
+factors, transforms non-finite coefficients, the direct oracles any
+non-finite input."""
 
 import numpy as np
 import pytest
 
-from sincfft.direct import sinc_transform_direct
+from sincfft.direct import ndft_direct, nndft_direct, sinc_transform_direct
 from sincfft.errors import ParameterError
 from sincfft.fast_sinc import fast_sinc_transform, sinc_plan
 from sincfft.nfft import nfft_adjoint, nfft_plan, nfft_trafo
@@ -59,6 +60,18 @@ BAD_PARAMETERS = {
     "rescale_frequencies-empty": lambda: rescale_frequencies(16, np.zeros(0), 2.0, 4),
     "sinc_transform_direct-nan": lambda: sinc_transform_direct(
         np.ones(4), np.where(GOOD == 0.0, NAN, GOOD), GOOD, 16),
+    "sinc_transform_direct-nan-coefficient": lambda: sinc_transform_direct(
+        np.where(GOOD == 0.0, NAN, 1.0), GOOD, GOOD, 16),
+    "sinc_transform_direct-inf-N": lambda: sinc_transform_direct(
+        np.ones(4), GOOD, GOOD, INF),
+    "nndft_direct-nan-node": lambda: nndft_direct(
+        np.ones(4), GOOD, np.where(GOOD == 0.0, NAN, GOOD), 16),
+    "nndft_direct-nan-frequency": lambda: nndft_direct(
+        np.ones(4), np.where(GOOD == 0.0, NAN, GOOD), GOOD, 16),
+    "ndft_direct-nan-node": lambda: ndft_direct(
+        np.ones(4), np.where(GOOD == 0.0, NAN, GOOD)),
+    "ndft_direct-inf-coefficient-compensated": lambda: ndft_direct(
+        np.where(GOOD == 0.0, INF, 1.0), GOOD, compensated=True),
 }
 
 

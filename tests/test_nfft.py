@@ -4,11 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sincfft import bounds
 from sincfft.direct import ndft_direct
 from sincfft.errors import ParameterError, PositivityError
 from sincfft.nfft import block_count, nfft_adjoint, nfft_plan, nfft_trafo
+from sincfft.nnfft import NnfftGeometry, nnfft_plan
+from sincfft.windows import phi_eval, window_kinds
 
 
 def _random_instance(rng, N, M):
@@ -160,3 +164,67 @@ def test_trafo_allocates_only_its_grid_and_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 16 * (plan.n_over + M)
+
+
+def test_plan_allocates_little_beyond_its_tables():
+    # the window arguments are written into the value table and evaluated
+    # there: besides the two tables only per-node vectors are made
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, 65536)
+    nfft_plan(4096, x, m=8)  # first call: one-time costs
+    tracemalloc.start()
+    try:
+        plan = nfft_plan(4096, x, m=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (plan.spread_idx.nbytes + plan.spread_val.nbytes)
+
+
+def _assert_stencil(idx, val, op, spec, nodes, placed):
+    # positions placed(floor(n x) + l) and weights phi(x - (floor(n x) + l)/n),
+    # in tables that the stencil matrix op shares
+    m, n = spec.m, spec.n_grid
+    pos = np.floor(n * nodes)[:, None] + np.arange(1 - m, m + 1)
+    assert idx.dtype == np.int32 and val.dtype == np.float64
+    assert idx.flags.c_contiguous and val.flags.c_contiguous
+    assert idx.shape == val.shape == (nodes.size, 2 * m)
+    assert np.shares_memory(op.indices, idx) and np.shares_memory(op.data, val)
+    assert np.array_equal(idx, placed(pos))
+    # within 1e-12 of the window at x - pos/n, away from the support edge:
+    # there sinh has a square-root edge and Kaiser-Bessel jumps to 0, so
+    # the rounding of either argument moves the value by more
+    ref = phi_eval(spec, nodes[:, None] - pos / n)
+    inner = np.abs(1.0 - np.abs(nodes[:, None] - pos / n) * (n / m)) > 1e-3
+    assert np.all(np.abs(val - ref)[inner] <= 1e-12)
+    # a node on a grid point (t = 0) ends in the window's exact zero
+    on_grid = n * nodes == np.floor(n * nodes)
+    assert np.all(val[on_grid, -1] == 0.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(window_kinds()), m=st.integers(2, 10),
+       sigma=st.sampled_from([1.25, 1.5, 2.0]), data=st.data())
+def test_stencil_table_of_every_window(kind, m, sigma, data):
+    # N a multiple of the smallest even N with sigma N even, and n <= 4096
+    step = {1.25: 8, 1.5: 4, 2.0: 2}[sigma]
+    N = step * data.draw(st.integers(1, 4096 // round(sigma * step)))
+    n = round(sigma * N)
+    assume(4 * m <= n)
+    node = st.one_of(st.floats(-0.5, 0.5),
+                     st.integers(-n // 2, n // 2).map(lambda j: j / n),
+                     st.sampled_from([-0.5, 0.5]))
+    x = np.array(data.draw(st.lists(node, min_size=1, max_size=24)))
+
+    plan = nfft_plan(N, x, sigma=sigma, m=m, window=kind)
+    _assert_stencil(plan.spread_idx, plan.spread_val, plan.gather, plan.window,
+                    x, lambda pos: np.mod(pos, n))
+
+    # the NNFFT spread: the same stencils on the coarse grid, moved by K/2
+    geo = NnfftGeometry.from_parameters(N, x.size, 1, sigma, 2.0, m, 2)
+    K = geo.N1 + 2 * m
+    v = np.clip(x, -0.5 / geo.a, 0.5 / geo.a)
+    nn = nnfft_plan(N, v, np.array([0.25]), sigma1=sigma, m1=m, m2=2,
+                    window1=kind)
+    _assert_stencil(nn.spread_idx, nn.spread_val, nn.spread, nn.window1,
+                    v, lambda pos: pos + K // 2)
+    assert np.all((nn.spread_idx >= 0) & (nn.spread_idx < K))
