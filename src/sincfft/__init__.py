@@ -22,8 +22,8 @@ from .fast_sinc import SincMode, SincPlan, fast_sinc_transform, sinc_plan
 from .nfft import NfftPlan, nfft_adjoint, nfft_plan, nfft_trafo
 from .nnfft import (NnfftGeometry, NnfftPlan, nnfft_plan, nnfft_trafo,
                     rescale_frequencies)
-from .sinc_approx import (CcQuadrature, cc_export_csv, cc_quadrature,
-                          sinc_expsum_eval_grid, sinc_expsum_max_error)
+from .sinc_approx import (CcQuadrature, cc_quadrature, sinc_expsum_eval_grid,
+                          sinc_expsum_max_error)
 from .windows import (WindowSpec, omega_eval, omega_hat_eval, phi_eval,
                       phi_hat_eval, window_kinds)
 
@@ -38,7 +38,7 @@ __all__ = [
     "NfftPlan", "nfft_plan", "nfft_trafo", "nfft_adjoint",
     "NnfftGeometry", "NnfftPlan", "nnfft_plan", "nnfft_trafo",
     "rescale_frequencies",
-    "CcQuadrature", "cc_quadrature", "cc_export_csv",
+    "CcQuadrature", "cc_quadrature",
     "sinc_expsum_eval_grid", "sinc_expsum_max_error",
     "SincMode", "SincPlan", "sinc_plan", "fast_sinc_transform",
     "bounds",

@@ -67,8 +67,8 @@ def hat_phi_sinh_at_half(N, sigma, m):
     underflows to 0 for ``m`` in the thousands.
     """
     _check_sinh_params(m, sigma, "hat_phi_sinh_at_half")
-    if N <= 0:
-        raise ParameterError("hat_phi_sinh_at_half: N must be positive")
+    if not 0 < N < math.inf:
+        raise ParameterError("hat_phi_sinh_at_half: N must be finite and positive")
     return math.exp(_log_hat_phi_sinh_at_half(N, sigma, m))
 
 
@@ -85,8 +85,8 @@ def bound_nnfft_sinh(N, sigma1, sigma2, m1, m2):
     _check_sinh_params(m2, sigma2, "bound_nnfft_sinh")
     if m2 < m1:
         raise ParameterError("bound_nnfft_sinh: requires m2 >= m1")
-    if N <= 0:
-        raise ParameterError("bound_nnfft_sinh: N must be positive")
+    if not 0 < N < math.inf:
+        raise ParameterError("bound_nnfft_sinh: N must be finite and positive")
     N1 = sigma1 * N
     log_factor = (math.log((2.0 * N1 + 4.0 * m1) / math.sqrt(2.0 * m1 * math.pi))
                   + 2.0 * math.pi * m1 * (1.0 - math.sqrt(1.0 - 1.0 / sigma1)
@@ -101,10 +101,9 @@ def bound_cc_sinc(N, nu):
 
     Decays only for ``nu > C``; returns ``inf`` when the value overflows.
     """
-    if N <= 0:
-        raise ParameterError("bound_cc_sinc: N must be positive")
-    if not nu > 0:
-        raise ParameterError("bound_cc_sinc: nu must be positive")
+    for name, val in (("N", N), ("nu", nu)):
+        if not 0 < val < math.inf:
+            raise ParameterError(f"bound_cc_sinc: {name} must be finite and positive")
     C = SINC_DECAY_CONSTANT
     expo = -N * (nu - C)
     if expo > 700.0:
@@ -136,7 +135,7 @@ def bound_fast_sinc(epsilon, e1, e2, a, hat_phi1_half):
     is assembled by :func:`bound_report`.
     """
     for name, val in (("epsilon", epsilon), ("e1", e1), ("e2", e2)):
-        if val < 0:
+        if not val >= 0:  # NaN included
             raise ParameterError(f"bound_fast_sinc: {name} must be >= 0")
     if not a >= 1.0:
         raise ParameterError("bound_fast_sinc: a must be >= 1")

@@ -39,13 +39,6 @@ from .nnfft import nnfft_plan, nnfft_trafo
 from .sinc_approx import cc_quadrature, sinc_expsum_max_error
 from .windows import window_kinds
 
-_WINDOW_ALIASES = {"kb": "kaiser-bessel"}
-
-
-def _window(name):
-    return _WINDOW_ALIASES.get(name, name)
-
-
 def _stream(seed, tuple_index, rep):
     key = [seed & 0xFFFFFFFFFFFFFFFF, (tuple_index << 32) | rep]
     return np.random.Generator(np.random.Philox(key=key))
@@ -97,8 +90,7 @@ def run_nnfft_error(args):
     reps = args.reps if args.reps is not None else (100 if paper else 20)
     m1_list = args.m1 if args.m1 else (list(range(2, 9)) if paper else list(range(2, 7)))
     sigma1_list = args.sigma1 if args.sigma1 else [1.25, 1.5, 2.0]
-    window1 = _window(args.window1)
-    window2 = _window(args.window2)
+    window1, window2 = args.window1, args.window2
 
     header = ["N", "M1", "M2", "window1", "window2", "m1", "m2",
               "sigma1", "sigma2", "reps", "seed", "measured", "bound"]
@@ -155,8 +147,7 @@ def run_sinc_transform(args):
     N_list = args.N if args.N else ([2 ** t for t in range(5, 14)] if paper else [64, 128])
     nu_list = args.nu if args.nu else ([4, 6, 8] if paper else [4])
     reps = args.reps if args.reps is not None else (100 if paper else 10)
-    window1 = _window(args.window1)
-    window2 = _window(args.window2)
+    window1, window2 = args.window1, args.window2
 
     header = ["N", "L1", "L2", "nu", "n", "m1", "m2", "sigma1", "sigma2",
               "window1", "window2", "reps", "seed", "measured", "epsilon",
@@ -229,7 +220,7 @@ def run_bounds(args):
 
 
 def _add_window_args(p):
-    kinds = list(window_kinds()) + list(_WINDOW_ALIASES)
+    kinds = window_kinds()
     p.add_argument("--window1", default="sinh", choices=kinds,
                    help="window shape of the first gridding stage")
     p.add_argument("--window2", default="sinh", choices=kinds,

@@ -91,6 +91,7 @@ def nndft_direct(f, v, x, N, compensated=False):
     compensated : bool, optional
         Use compensated (fsum) accumulation.
     """
+    N = _finite("nndft_direct", N)
     return _sum("nndft_direct", f, v, x, _exp_terms(-2j * np.pi * N),
                 compensated)
 
@@ -111,6 +112,8 @@ def ndft_direct(c, x, compensated=False):
 def sinc_transform_direct(c, a, b, N, compensated=False):
     """Discrete sinc transform ``sum_k c_k sinc(N pi (b_j - a_k))``, with the
     unnormalized ``sinc(y) = sin(y)/y``."""
+    N = _finite("sinc_transform_direct", N)
+
     def kernel(bb, ab, buf):
         buf[...] = np.sinc(N * (bb[:, None] - ab))
     return _sum("sinc_transform_direct", c, a, b, kernel, compensated)

@@ -21,17 +21,16 @@ Total cost ``O((L1 + L2 + N log N) log(1/eps))`` at target accuracy ``eps``.
 """
 
 import enum
+import math
 
 import numpy as np
 
 from . import bounds as _bounds
 from .errors import ParameterError
-from .nfft import (NfftPlan, as_coefficients, grid_length, nfft_adjoint,
-                   nfft_plan, nfft_trafo)
+from .nfft import (_DOMAIN_TOL, NfftPlan, as_coefficients, as_nodes,
+                   grid_length, nfft_adjoint, nfft_plan, nfft_trafo)
 from .nnfft import NnfftGeometry, fast_bandwidth, nnfft_plan, nnfft_trafo
 from .sinc_approx import cc_quadrature
-
-_GRID_TOL = 1e-12
 
 
 class SincMode(enum.Enum):
@@ -47,29 +46,39 @@ class SincPlan:
     """Precomputed stages of the fast sinc transform for one node pair.
 
     Stage 1 (``_plan1``) is an NNFFT, or an NFFT when the sources are on
-    the grid; row ``j`` of its gather also carries the weight
-    ``quad.weights[j]``, so it returns ``alpha`` directly (in an NNFFT that
-    row already holds ``1/(N1 phi_hat_1(N z_j / 2))``).  Stage 3
-    (``_plan3``) is an NNFFT, or an adjoint NFFT when the targets are on
-    the grid, with its own scaling only.
+    the grid; row ``j`` of its gather also carries the Clenshaw-Curtis
+    weight ``w_j``, so it returns ``alpha`` directly (in an NNFFT that row
+    already holds ``1/(N1 phi_hat_1(N z_j / 2))``).  Stage 3 (``_plan3``)
+    is an NNFFT, or an adjoint NFFT when the targets are on the grid, with
+    its own scaling only.  The plan keeps no copy of the nodes.
     """
 
-    def __init__(self, N, n, quad, a, b, mode, params, n_star,
-                 inner_geometry, plan1, plan3):
+    def __init__(self, N, n, L1, L2, params, n_star, plan1, plan3):
         self.N = N
         self.n = n
-        self.quad = quad
-        self.a = a
-        self.b = b
-        self.L1 = a.size
-        self.L2 = b.size
-        self.mode = mode
+        self.L1 = L1
+        self.L2 = L2
         (self.m1, self.m2, self.sigma1, self.sigma2,
          self.window1, self.window2) = params
         self.n_star = n_star
-        self.inner_geometry = inner_geometry
         self._plan1 = plan1
         self._plan3 = plan3
+
+    @property
+    def mode(self):
+        """The :class:`SincMode`: which stages run as an NFFT on a grid."""
+        return _MODES[isinstance(self._plan1, NfftPlan),
+                      isinstance(self._plan3, NfftPlan)]
+
+    @property
+    def inner_geometry(self):
+        """The :class:`~sincfft.nnfft.NnfftGeometry` of a nonequispaced
+        stage at the rescaled bandwidth ``n_star``, on which the certificate
+        rests; made when asked for, so a plan whose stages are both NFFTs
+        does not need it to exist (it raises :class:`ParameterError`)."""
+        return NnfftGeometry.from_parameters(
+            self.n_star, self.L1, self.n + 1, self.sigma1, self.sigma2,
+            self.m1, self.m2)
 
     def error_bound(self):
         """Closed-form accuracy certificate for this plan.
@@ -104,12 +113,20 @@ class SincPlan:
         }
 
 
-def _is_even_grid(nodes, L, scale):
-    # nodes == (arange(L) - L/2) / scale elementwise within tolerance
-    if nodes.size != L or L % 2:
+# (sources on the grid, targets on the grid) -> mode
+_MODES = {(False, False): SincMode.GENERAL,
+          (True, False): SincMode.EQUISPACED_SOURCES,
+          (False, True): SincMode.EQUISPACED_TARGETS,
+          (True, True): SincMode.EQUISPACED_BOTH}
+
+
+def _on_grid(nodes, L, sigma1, m1):
+    # nodes == (arange(L) - L/2) / L within tolerance, with L even and a
+    # grid that admits the NFFT of degree L
+    if nodes.size != L or L % 2 or grid_length(L, sigma1, m1) is None:
         return False
-    grid = (np.arange(L) - L // 2) / scale
-    return bool(np.max(np.abs(nodes - grid)) <= _GRID_TOL)
+    grid = (np.arange(L) - L // 2) / L
+    return bool(np.max(np.abs(nodes - grid)) <= _DOMAIN_TOL)
 
 
 def _wrap_half(t):
@@ -118,9 +135,13 @@ def _wrap_half(t):
 
 
 def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
-              sigma1=2.0, sigma2=2.0, window1="sinh", window2="sinh",
-              mode=None):
+              sigma1=2.0, sigma2=2.0, window1="sinh", window2="sinh"):
     """Plan a fast sinc transform of bandwidth ``N``.
+
+    Each stage runs as an NFFT where its nodes are the even grid
+    (``a_k = k/L1`` with ``L1`` even, or ``L2 = N`` even and
+    ``b_l = l/N``) whose NFFT is admissible, and as an NNFFT otherwise;
+    :attr:`SincPlan.mode` tells which.
 
     Parameters
     ----------
@@ -138,85 +159,50 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
         power of two is selected for ``n``.
     m1, m2, sigma1, sigma2, window1, window2
         Parameters of the inner gridding stages.
-    mode : SincMode or str, optional
-        Force a stage layout instead of auto-detecting equispaced node
-        sets.  Auto-detection picks an equispaced layout only where the
-        grid stage's NFFT is admissible.  Forcing an equispaced mode on
-        nodes that are not on the even grid (of even length) is rejected.
     """
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ParameterError("sinc_plan: N must be a positive integer")
-    a = np.ascontiguousarray(a, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    for name, arr in (("a", a), ("b", b)):
-        if arr.ndim != 1 or arr.size == 0:
-            raise ParameterError(f"sinc_plan: {name} must be a nonempty 1-d array")
-        if not np.all(np.abs(arr) <= 0.5 + _GRID_TOL):
-            raise ParameterError(f"sinc_plan: {name} must lie in [-1/2, 1/2]")
-    a = np.clip(a, -0.5, 0.5)
-    b = np.clip(b, -0.5, 0.5)
+    N = int(N)
+    a = as_nodes(a, "sinc_plan: a")
+    b = as_nodes(b, "sinc_plan: b")
 
     if n is not None and epsilon is not None:
         raise ParameterError("sinc_plan: pass either n or epsilon, not both")
     if n is None:
-        if epsilon is not None:
-            n = _bounds.choose_n(int(N), float(epsilon))
-        else:
-            n = 4 * int(N)
+        n = 4 * N if epsilon is None else _bounds.choose_n(N, float(epsilon))
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError("sinc_plan: n must be an integer >= 2")
     quad = cc_quadrature(int(n))
     z = quad.points
 
-    sources_grid = _is_even_grid(a, a.size, a.size)
-    targets_grid = (b.size == N) and (N % 2 == 0) and _is_even_grid(b, int(N), int(N))
-    if mode is None:
-        auto_sources = sources_grid and grid_length(a.size, sigma1, m1) is not None
-        auto_targets = targets_grid and grid_length(int(N), sigma1, m1) is not None
-        mode = (SincMode.EQUISPACED_BOTH if auto_sources and auto_targets
-                else SincMode.EQUISPACED_SOURCES if auto_sources
-                else SincMode.EQUISPACED_TARGETS if auto_targets
-                else SincMode.GENERAL)
-    else:
-        mode = SincMode(mode.value if isinstance(mode, SincMode) else mode)
-        need_sources = mode in (SincMode.EQUISPACED_SOURCES, SincMode.EQUISPACED_BOTH)
-        need_targets = mode in (SincMode.EQUISPACED_TARGETS, SincMode.EQUISPACED_BOTH)
-        if need_sources and not sources_grid:
-            raise ParameterError(
-                "sinc_plan: equispaced-sources mode requires a_k = k/L1 on I_L1")
-        if need_targets and not targets_grid:
-            raise ParameterError(
-                "sinc_plan: equispaced-targets mode requires L2 = N even and b_l = l/N")
-
-    params = (m1, m2, float(sigma1), float(sigma2), window1, window2)
-    n_star = fast_bandwidth(int(N), float(sigma1), m1)
-    inner_geometry = NnfftGeometry.from_parameters(
-        n_star, a.size, z.size, float(sigma1), float(sigma2), m1, m2)
-
-    if mode in (SincMode.EQUISPACED_SOURCES, SincMode.EQUISPACED_BOTH):
+    sigma1, sigma2 = float(sigma1), float(sigma2)
+    # checked here too, as a plan whose stages are both NFFTs never uses them
+    if not isinstance(m2, (int, np.integer)) or m2 < 2:
+        raise ParameterError("sinc_plan: m2 must be an integer >= 2")
+    if not 1.0 < sigma2 < math.inf:
+        raise ParameterError(f"sinc_plan: sigma2 must be finite and > 1, got {sigma2}")
+    n_star = fast_bandwidth(N, sigma1, m1)
+    if _on_grid(a, a.size, sigma1, m1):
         t = _wrap_half(-(N / (2.0 * a.size)) * z)
-        plan1 = nfft_plan(a.size, t, sigma=float(sigma1), m=m1, window=window1)
+        plan1 = nfft_plan(a.size, t, sigma=sigma1, m=m1, window=window1)
         gather1 = plan1
     else:
         plan1 = nnfft_plan(n_star, (a * N) / n_star, 0.5 * z,
-                           sigma1=float(sigma1), sigma2=float(sigma2),
-                           m1=m1, m2=m2,
+                           sigma1=sigma1, sigma2=sigma2, m1=m1, m2=m2,
                            window1=window1, window2=window2)
         gather1 = plan1.stage2
     # alpha_j = w_j g_j: the weight of z_j rides in row j of stage 1's gather
     gather1.spread_val *= quad.weights[:, None]
 
-    if mode in (SincMode.EQUISPACED_TARGETS, SincMode.EQUISPACED_BOTH):
-        plan3 = nfft_plan(int(N), -0.5 * z, sigma=float(sigma1), m=m1,
-                          window=window1)
+    if _on_grid(b, N, sigma1, m1):
+        plan3 = nfft_plan(N, -0.5 * z, sigma=sigma1, m=m1, window=window1)
     else:
         plan3 = nnfft_plan(n_star, (z * (-0.5 * N)) / n_star, b,
-                           sigma1=float(sigma1), sigma2=float(sigma2),
-                           m1=m1, m2=m2,
+                           sigma1=sigma1, sigma2=sigma2, m1=m1, m2=m2,
                            window1=window1, window2=window2)
 
-    return SincPlan(int(N), int(n), quad, a, b, mode, params, n_star,
-                    inner_geometry, plan1, plan3)
+    params = (m1, m2, sigma1, sigma2, window1, window2)
+    return SincPlan(N, int(n), a.size, b.size, params, n_star, plan1, plan3)
 
 
 def fast_sinc_transform(plan, c):

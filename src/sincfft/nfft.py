@@ -37,8 +37,8 @@ class NfftPlan:
     n_over : int
         Oversampled grid length ``sigma * N``.
     window : WindowSpec
-    nodes : ndarray, shape (M,)
-        Spatial nodes in ``[-1/2, 1/2]``.
+    node_count : int
+        Number M of spatial nodes.
     spread_idx, spread_val : int32 and float ndarrays, shape (M, 2m)
         Grid positions (mod ``n_over``) each node touches and their
         weights: the window values, times a factor per row when the plan
@@ -60,22 +60,18 @@ class NfftPlan:
         spreads with its transpose.
     """
 
-    def __init__(self, degree, n_over, window, nodes, spread_idx, spread_val,
+    def __init__(self, degree, n_over, window, spread_idx, spread_val,
                  deconv, twiddle):
         self.degree = degree
         self.n_over = n_over
         self.window = window
-        self.nodes = nodes
+        self.node_count = spread_idx.shape[0]
         self.spread_idx = spread_idx
         self.spread_val = spread_val
         self.deconv = deconv
         self.blocks = twiddle.shape[0] + 1
         self.twiddle = twiddle
         self.gather = stencil_matrix(spread_idx, spread_val, n_over)
-
-    @property
-    def node_count(self):
-        return self.nodes.size
 
 
 def stencil_matrix(idx, val, n_cols):
@@ -152,6 +148,18 @@ def as_coefficients(values, size, who):
     return c
 
 
+def as_nodes(values, who):
+    """``values`` as a contiguous float vector clipped to ``[-1/2, 1/2]``;
+    raises :class:`ParameterError` unless it is 1-d, nonempty and within
+    ``[-1/2, 1/2]`` up to 1e-12 (so finite)."""
+    x = np.ascontiguousarray(values, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ParameterError(f"{who} must be a nonempty 1-d array")
+    if not np.all(np.abs(x) <= 0.5 + _DOMAIN_TOL):
+        raise ParameterError(f"{who} must lie in [-1/2, 1/2]")
+    return np.clip(x, -0.5, 0.5)
+
+
 def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     """Build an :class:`NfftPlan` for polynomial degree ``N`` at ``nodes``.
 
@@ -167,12 +175,7 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
         raise ParameterError(
             f"nfft_plan: sigma*N must be an even integer >= 4m, got "
             f"sigma*N = {sigma * N} with m = {m}")
-    x = np.ascontiguousarray(nodes, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ParameterError("nfft_plan: nodes must be a nonempty 1-d array")
-    if not np.all(np.abs(x) <= 0.5 + _DOMAIN_TOL):
-        raise ParameterError("nfft_plan: nodes must lie in [-1/2, 1/2]")
-    x = np.clip(x, -0.5, 0.5)
+    x = as_nodes(nodes, "nfft_plan: nodes")
 
     spec = WindowSpec(window, m, float(sigma), n_over)
     # phi_hat on k = -N/2 .. N/2 (the adjoint reads the tables backwards, at
@@ -193,7 +196,7 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     P = block_count(n_over, N)
     k = np.arange(N + 1) - h
     twiddle = d * np.exp((2j * np.pi / n_over) * np.outer(np.arange(1, P), k))
-    return NfftPlan(int(N), n_over, spec, x, idx, val, d, twiddle)
+    return NfftPlan(int(N), n_over, spec, idx, val, d, twiddle)
 
 
 # Grid point t = q P + s (row q, column s of a (Q, P) array) gets

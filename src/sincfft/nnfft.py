@@ -30,8 +30,8 @@ import scipy.fft
 
 from . import fft_core
 from .errors import ParameterError, PositivityError
-from .nfft import (_DOMAIN_TOL, as_coefficients, grid_length, nfft_plan,
-                   nfft_trafo, stencil_matrix, stencil_table)
+from .nfft import (_DOMAIN_TOL, as_coefficients, as_nodes, grid_length,
+                   nfft_plan, nfft_trafo, stencil_matrix, stencil_table)
 # phi_eval stays importable here for tracers that rebind it per module
 from .windows import WindowSpec, phi_eval, phi_hat_eval
 
@@ -107,10 +107,9 @@ class NnfftPlan:
     coarse-grid positions ``0..K-1`` (``K = N1 + 2 m1``) and ``phi_1``
     values of each frequency; ``spread`` is the K x M1 CSC matrix made of
     them, sharing their memory.  ``stage2`` is the NFFT of degree ``K`` at
-    the nodes ``-x_j / sigma1`` with window ``window2``, and the only copy
-    of the nodes the plan keeps: the minus sign turns its
-    ``e^{+2 pi i l t}`` into the ``e^{-2 pi i l x_j / sigma1}`` of the
-    transform.  It is no bare NFFT: row ``j`` of its gather holds the
+    the nodes ``-x_j / sigma1`` with window ``window2``: the minus sign
+    turns its ``e^{+2 pi i l t}`` into the ``e^{-2 pi i l x_j / sigma1}``
+    of the transform.  It is no bare NFFT: row ``j`` of its gather holds the
     ``phi_2`` values times ``1/(N1 phi_hat_1(N x_j))``, the final scaling
     of the transform.
     """
@@ -154,13 +153,9 @@ def rescale_frequencies(N, v, sigma1, m1):
     """
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ParameterError("rescale_frequencies: N must be a positive integer")
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParameterError("rescale_frequencies: v must be a nonempty 1-d array")
-    if not np.all(np.abs(arr) <= 0.5 + _DOMAIN_TOL):
-        raise ParameterError("rescale_frequencies: frequencies must lie in [-1/2, 1/2]")
+    v = as_nodes(v, "rescale_frequencies: v")
     n_star = fast_bandwidth(N, sigma1, m1)
-    return n_star, (arr * N) / n_star
+    return n_star, (v * N) / n_star
 
 
 def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
@@ -184,12 +179,8 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     window1, window2 : str
         Window shapes for the spreading and gathering stage.
     """
-    v = np.ascontiguousarray(v, dtype=float)
-    x = np.ascontiguousarray(x, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ParameterError("nnfft_plan: v must be a nonempty 1-d array")
-    if x.ndim != 1 or x.size == 0:
-        raise ParameterError("nnfft_plan: x must be a nonempty 1-d array")
+    v = as_nodes(v, "nnfft_plan: v")
+    x = as_nodes(x, "nnfft_plan: x")
     geo = NnfftGeometry.from_parameters(N, v.size, x.size,
                                         float(sigma1), float(sigma2), m1, m2)
 
@@ -199,9 +190,6 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
             "nnfft_plan: frequencies exceed 1/(2a) = {:.6g}; apply "
             "rescale_frequencies to map [-1/2, 1/2] data into the band".format(vmax))
     v = np.clip(v, -vmax, vmax)
-    if not np.all(np.abs(x) <= 0.5 + _DOMAIN_TOL):
-        raise ParameterError("nnfft_plan: spatial nodes must lie in [-1/2, 1/2]")
-    x = np.clip(x, -0.5, 0.5)
 
     w1 = WindowSpec(window1, geo.m1, geo.sigma1, geo.N1)
     hat1 = np.asarray(phi_hat_eval(w1, geo.N * x), dtype=float)

@@ -15,7 +15,6 @@ The weights of every size ``n >= 2`` come from a single orthogonal DCT-I
 :mod:`sincfft.direct`.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +98,3 @@ def sinc_expsum_max_error(quad, N, R):
     exact = np.sinc(N * (2.0 * r / R))
     return float(np.max(np.abs(approx - exact)))
 
-
-def cc_export_csv(quad, path):
-    """Write the quadrature to ``path`` as CSV with columns k, z_k, w_k."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# schema=1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "z_k", "w_k"])
-        for k in range(quad.n + 1):
-            writer.writerow([k, format(quad.points[k], ".17g"),
-                             format(quad.weights[k], ".17g")])

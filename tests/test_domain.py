@@ -1,11 +1,12 @@
 """Every entry point rejects inputs outside its domain: planning functions
 nodes outside [-1/2, 1/2], fractional cut-offs and non-finite oversampling
-factors, transforms non-finite coefficients, the direct oracles any
-non-finite input."""
+factors, transforms non-finite coefficients, the direct oracles and the
+bounds any non-finite input."""
 
 import numpy as np
 import pytest
 
+from sincfft import bounds
 from sincfft.direct import ndft_direct, nndft_direct, sinc_transform_direct
 from sincfft.errors import ParameterError
 from sincfft.fast_sinc import fast_sinc_transform, sinc_plan
@@ -13,6 +14,7 @@ from sincfft.nfft import nfft_adjoint, nfft_plan, nfft_trafo
 from sincfft.nnfft import nnfft_plan, nnfft_trafo, rescale_frequencies
 
 GOOD = np.array([0.1, 0.0, -0.2, 0.3])
+GRID = (np.arange(32) - 16) / 32  # both stages of sinc_plan(32, GRID, GRID) are NFFTs
 NFFT = nfft_plan(4, GOOD, m=2)
 
 ENTRY_POINTS = {
@@ -56,6 +58,9 @@ BAD_PARAMETERS = {
     "sinc_plan-sigma1-inf": lambda: sinc_plan(32, GOOD, GOOD, sigma1=INF),
     "sinc_plan-sigma1-neginf": lambda: sinc_plan(32, GOOD, GOOD, sigma1=-INF),
     "sinc_plan-sigma2-inf": lambda: sinc_plan(32, GOOD, GOOD, sigma2=INF),
+    "sinc_plan-grid-m2": lambda: sinc_plan(32, GRID, GRID, m2=6.9),
+    "sinc_plan-grid-sigma2-nan": lambda: sinc_plan(32, GRID, GRID, sigma2=NAN),
+    "sinc_plan-grid-sigma2-inf": lambda: sinc_plan(32, GRID, GRID, sigma2=INF),
     "rescale_frequencies-2d": lambda: rescale_frequencies(16, np.zeros((2, 3)), 2.0, 4),
     "rescale_frequencies-empty": lambda: rescale_frequencies(16, np.zeros(0), 2.0, 4),
     "sinc_transform_direct-nan": lambda: sinc_transform_direct(
@@ -72,6 +77,14 @@ BAD_PARAMETERS = {
         np.ones(4), np.where(GOOD == 0.0, NAN, GOOD)),
     "ndft_direct-inf-coefficient-compensated": lambda: ndft_direct(
         np.where(GOOD == 0.0, INF, 1.0), GOOD, compensated=True),
+    "bound_cc_sinc-nan-N": lambda: bounds.bound_cc_sinc(NAN, 4),
+    "bound_cc_sinc-inf-N": lambda: bounds.bound_cc_sinc(INF, 4),
+    "bound_nnfft_sinh-nan-N": lambda: bounds.bound_nnfft_sinh(NAN, 2, 2, 4, 4),
+    "hat_phi_sinh_at_half-nan-N": lambda: bounds.hat_phi_sinh_at_half(NAN, 2, 4),
+    "bound_report-nan-epsilon": lambda: bounds.bound_report(
+        128, 6, 6, 2.0, 2.0, 4.0, epsilon=NAN),
+    "bound_fast_sinc-nan-epsilon": lambda: bounds.bound_fast_sinc(
+        NAN, 1e-4, 2e-4, 1.05, 0.5),
 }
 
 

@@ -1,5 +1,7 @@
 """Fast sinc transform: mode detection, accuracy certificates, special cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from sincfft import bounds
 from sincfft.direct import sinc_transform_direct
 from sincfft.errors import ParameterError
 from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
+from sincfft.nnfft import NnfftPlan
 
 
 def _grid(L):
@@ -55,11 +58,11 @@ def test_accuracy_below_certificate(layout):
                              SincMode.EQUISPACED_SOURCES,
                              SincMode.EQUISPACED_BOTH]),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_forced_general_matches_fast_path(half_N, half_L1, mode, seed):
-    # every equispaced layout against GENERAL on the same nodes, for even
-    # N and L1 from 16 (the smallest grids that admit the m1 = 8 NFFT) to
-    # 128; the CC weights ride in the gather rows of whichever stage 1 the
-    # layout has
+def test_general_route_matches_grid_route(half_N, half_L1, mode, seed):
+    # every equispaced layout against GENERAL on the same nodes in reverse
+    # order, which are no grid, for even N and L1 from 16 (the smallest
+    # grids that admit the m1 = 8 NFFT) to 128; the CC weights ride in the
+    # gather rows of whichever stage 1 the layout has
     rng = np.random.default_rng(seed)
     N, L1 = 2 * half_N, 2 * half_L1
     grid_sources = mode is not SincMode.EQUISPACED_TARGETS
@@ -68,12 +71,12 @@ def test_forced_general_matches_fast_path(half_N, half_L1, mode, seed):
     b = _grid(N) if grid_targets else _random_nodes(rng, 40)
     c = rng.uniform(-1, 1, L1) + 1j * rng.uniform(-1, 1, L1)
     auto = sinc_plan(N, a, b, m1=8, m2=8)
-    forced = sinc_plan(N, a, b, m1=8, m2=8, mode="general")
+    general = sinc_plan(N, a[::-1], b[::-1], m1=8, m2=8)
     assert auto.mode is mode
-    assert forced.mode is SincMode.GENERAL
+    assert general.mode is SincMode.GENERAL
     fa = fast_sinc_transform(auto, c)
-    ff = fast_sinc_transform(forced, c)
-    assert np.max(np.abs(fa - ff)) < 1e-11 * np.sum(np.abs(c))
+    fg = fast_sinc_transform(general, c[::-1])[::-1]
+    assert np.max(np.abs(fa - fg)) < 1e-11 * np.sum(np.abs(c))
 
 
 def test_epsilon_selects_power_of_two():
@@ -112,15 +115,11 @@ def test_linearity():
 def test_rejections():
     rng = np.random.default_rng(9)
     good = _random_nodes(rng, 8)
-    # odd lengths are no even grid, so an equispaced mode cannot be forced
-    with pytest.raises(ParameterError):
-        sinc_plan(16, _grid(7), good, mode="equispaced-sources")
-    with pytest.raises(ParameterError):
-        sinc_plan(7, good, _grid(7), mode="equispaced-targets")
+    # odd lengths are no even grid, so they plan as GENERAL
+    assert sinc_plan(16, _grid(7), good).mode is SincMode.GENERAL
+    assert sinc_plan(7, good, _grid(7)).mode is SincMode.GENERAL
     with pytest.raises(ParameterError):
         sinc_plan(16, good, good, n=64, epsilon=1e-6)
-    with pytest.raises(ParameterError):
-        sinc_plan(16, good, good, mode="equispaced-sources")
     with pytest.raises(ParameterError):
         sinc_plan(16, np.array([0.0, 0.7]), good)
     plan = sinc_plan(16, good, good)
@@ -206,3 +205,45 @@ def test_error_bound_requires_m2_at_least_m1():
     plan = sinc_plan(32, _random_nodes(rng, 8), _random_nodes(rng, 8), m1=6, m2=4)
     with pytest.raises(ParameterError):
         plan.error_bound()
+
+
+def test_grid_stages_need_no_nnfft_geometry():
+    # both stages are degree-32 NFFTs, which never use m2; the certificate's
+    # NNFFT geometry (2*m2 > (1 - 1/sigma1)*N2 here) is made only on demand
+    g = _grid(32)
+    plan = sinc_plan(32, g, g, sigma1=1.25, sigma2=2.0, m1=2, m2=12)
+    assert plan.mode is SincMode.EQUISPACED_BOTH
+    out = fast_sinc_transform(plan, np.ones(32, dtype=complex))
+    assert out.shape == (32,) and np.all(np.isfinite(out))
+    with pytest.raises(ParameterError):
+        plan.error_bound()
+
+
+def _apply_state_bytes(plan):
+    # what an apply reads: the stage tables, the CSR row pointers, deconv
+    # and twiddle
+    total = 0
+    for stage in (plan._plan1, plan._plan3):
+        if isinstance(stage, NnfftPlan):
+            total += (stage.spread_idx.nbytes + stage.spread_val.nbytes
+                      + stage.spread.indptr.nbytes)
+            stage = stage.stage2
+        total += (stage.spread_idx.nbytes + stage.spread_val.nbytes
+                  + stage.gather.indptr.nbytes + stage.deconv.nbytes
+                  + stage.twiddle.nbytes)
+    return total
+
+
+def test_plan_holds_little_beyond_its_apply_state():
+    # no copy of the nodes, the Chebyshev points or the weights stays
+    rng = np.random.default_rng(14)
+    a, b = _random_nodes(rng, 256), _random_nodes(rng, 2048)
+    sinc_plan(512, a, b)  # first-call imports and caches are not the plan's
+    tracemalloc.start()
+    try:
+        plan = sinc_plan(512, a, b)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plan.mode is SincMode.GENERAL
+    assert held - _apply_state_bytes(plan) <= 32 * 1024

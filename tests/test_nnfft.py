@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sincfft import bounds
 from sincfft.direct import nndft_direct
 from sincfft.errors import ParameterError
-from sincfft.nfft import NfftPlan
+from sincfft.nfft import NfftPlan, stencil_table
 from sincfft.nnfft import (NnfftGeometry, nnfft_plan, nnfft_trafo,
                            rescale_frequencies)
 from sincfft.windows import WindowSpec, phi_eval, phi_hat_eval
@@ -139,7 +139,8 @@ def test_stencil_matrices_share_the_tables():
     assert isinstance(stage2, NfftPlan)
     assert (stage2.degree, stage2.n_over) == (K, geo.N2)
     assert stage2.window == plan.window2
-    assert np.array_equal(stage2.nodes, x * (-geo.N / geo.N1))
+    assert np.array_equal(stage2.spread_idx, stencil_table(
+        stage2.window, stage2.n_over * (x * (-geo.N / geo.N1)))[0])
     assert stage2.gather.shape == (9, geo.N2)
     for op, idx, val in ((plan.spread, plan.spread_idx, plan.spread_val),
                          (stage2.gather, stage2.spread_idx, stage2.spread_val)):

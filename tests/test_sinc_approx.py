@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sincfft.direct import cc_weights_direct, nndft_direct
 from sincfft.errors import ParameterError
-from sincfft.sinc_approx import (_dct_load, cc_export_csv, cc_quadrature,
-                                 sinc_expsum_eval_grid, sinc_expsum_max_error)
+from sincfft.sinc_approx import (_dct_load, cc_quadrature, sinc_expsum_eval_grid,
+                                 sinc_expsum_max_error)
 
 
 def test_n2_hand_derived_weights():
@@ -102,7 +102,7 @@ def test_grid_path_is_an_adjoint_style_sum():
     assert np.max(np.abs(vals - ref)) < 1e-12
 
 
-def test_max_error_consistent_with_eval(tmp_path):
+def test_max_error_consistent_with_eval():
     N, R = 16, 2000
     quad = cc_quadrature(4 * N)
     reported = sinc_expsum_max_error(quad, N, R)
@@ -112,16 +112,6 @@ def test_max_error_consistent_with_eval(tmp_path):
                           - np.sinc(N * x)))
     # the two routes differ only by the grid evaluator's internal rounding
     assert reported == pytest.approx(brute, abs=1e-13)
-
-    out = tmp_path / "weights.csv"
-    cc_export_csv(quad, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# schema=1"
-    assert lines[1] == "k,z_k,w_k"
-    assert len(lines) == quad.n + 3
-    k, z, w = lines[2].split(",")
-    assert int(k) == 0 and float(z) == 1.0
-    assert float(w) == pytest.approx(quad.weights[0], rel=1e-16)
 
 
 def test_rejections():
