@@ -135,8 +135,8 @@ def bound_fast_sinc(epsilon, e1, e2, a, hat_phi1_half):
     is assembled by :func:`bound_report`.
     """
     for name, val in (("epsilon", epsilon), ("e1", e1), ("e2", e2)):
-        if not val >= 0:  # NaN included
-            raise ParameterError(f"bound_fast_sinc: {name} must be >= 0")
+        if not 0.0 <= val < math.inf:  # NaN included
+            raise ParameterError(f"bound_fast_sinc: {name} must be finite and >= 0")
     if not a >= 1.0:
         raise ParameterError("bound_fast_sinc: a must be >= 1")
     if not hat_phi1_half > 0.0:
@@ -178,7 +178,9 @@ def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
     ``epsilon`` defaults to the surrogate bound at oversampling ``nu``.
     The simplified bound ``epsilon + 3 e1 + 3 a e2 / hat_phi1_half`` is
     reported even when its condition ``b_term <= 1`` fails;
-    ``simplified_valid`` says whether it may be used.
+    ``simplified_valid`` says whether it may be used.  Raises
+    :class:`ParameterError` where the surrogate bound overflows (``nu``
+    far below the decay threshold).
     """
     nnfft = bound_nnfft_sinh(N, sigma1, sigma2, m1, m2)  # checks the parameters
     e1 = bound_sinh_E(m1, sigma1)
@@ -186,6 +188,10 @@ def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
     hat = hat_phi_sinh_at_half(N, sigma1, m1)
     a = 1.0 + 2.0 * m1 / (sigma1 * N)
     cc = bound_cc_sinc(N, nu)
+    if cc == math.inf:
+        raise ParameterError(
+            f"bound_report: the surrogate bound overflows at N = {N}, nu = {nu:g} "
+            f"(decay threshold {SINC_DECAY_CONSTANT:.4f})")
     eps = cc if epsilon is None else float(epsilon)
     # e2/hat, with e2 decaying faster than hat; once hat leaves the normal
     # range (m1 in the thousands) the quotient is formed in the exponent

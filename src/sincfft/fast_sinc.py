@@ -31,6 +31,7 @@ from .nfft import (_DOMAIN_TOL, NfftPlan, as_coefficients, as_nodes,
                    grid_length, nfft_adjoint, nfft_plan, nfft_trafo)
 from .nnfft import NnfftGeometry, fast_bandwidth, nnfft_plan, nnfft_trafo
 from .sinc_approx import cc_quadrature
+from .windows import window_kinds
 
 
 class SincMode(enum.Enum):
@@ -181,6 +182,9 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
         raise ParameterError("sinc_plan: m2 must be an integer >= 2")
     if not 1.0 < sigma2 < math.inf:
         raise ParameterError(f"sinc_plan: sigma2 must be finite and > 1, got {sigma2}")
+    if window2 not in window_kinds():
+        raise ParameterError(
+            f"sinc_plan: unknown window2 {window2!r}; expected one of {window_kinds()}")
     n_star = fast_bandwidth(N, sigma1, m1)
     if _on_grid(a, a.size, sigma1, m1):
         t = _wrap_half(-(N / (2.0 * a.size)) * z)

@@ -13,8 +13,9 @@ with ``sigma = 2`` the band fills two half-length FFTs instead of half of
 one zero-padded FFT.
 
 Every window table, the gather of an NFFT and the spread of an NNFFT
-alike, comes from :func:`stencil_table`, which writes it in place with no
-other array of its size.
+alike, comes from :func:`stencil_table`: one floor and one fraction per
+node, from which :func:`~sincfft.windows.phi_rows` fills the weight table
+one block of rows at a time, with no other array of its size.
 """
 
 import numpy as np
@@ -22,7 +23,9 @@ import scipy.sparse
 
 from . import fft_core
 from .errors import ParameterError, PositivityError
-from .windows import WindowSpec, phi_eval, phi_hat_eval
+# phi_eval stays importable here for tracers that rebind it per module;
+# every table is made by phi_rows, called through this module's name
+from .windows import WindowSpec, phi_eval, phi_hat_eval, phi_rows
 
 _DOMAIN_TOL = 1e-12
 
@@ -90,15 +93,14 @@ def stencil_table(spec, u, shift=None):
     (float), ``l = 1-m .. m``, of the nodes at grid coordinates
     ``u = n x`` (``n = spec.n_grid``, ``t_j = u_j - floor(u_j)``), as
     C-contiguous ``(M, 2m)`` tables.  The positions wrap onto ``0 .. n-1``
-    (``shift=None``) or are moved by ``shift``.  The window arguments are
-    evaluated in the weight table itself, and a row with ``t_j = 0`` ends
-    in the window's exact zero at ``-m/n``."""
+    (``shift=None``) or are moved by ``shift``.  The weights are the rows
+    :func:`~sincfft.windows.phi_rows` makes of the fractions ``t_j``
+    straight into the weight table, and a row with ``t_j = 0`` ends in the
+    window's exact zero at ``-m/n``."""
     m, n = spec.m, spec.n_grid
     base = np.floor(u)
     start = base.astype(np.int32) + (1 - m if shift is None else 1 - m + shift)
-    t = np.subtract(u, base, out=base) / n
-    val = _rows(t, np.arange(m - 1.0, -m - 1.0, -1.0) / n)
-    phi_eval(spec, val, out=val)
+    val = phi_rows(spec, np.subtract(u, base, out=base))
     if shift is None:
         start += n * (start < 0)
     idx = _rows(start, np.arange(2 * m, dtype=np.int32))
@@ -108,8 +110,9 @@ def stencil_table(spec, u, shift=None):
 
 
 def _rows(column, row):
-    # column[:, None] + row without a numpy loop per short row: column
-    # repeated, then row added in blocks of whole rows
+    # column[:, None] + row without a numpy loop per short row (twice as
+    # fast as that broadcast for the positions): column repeated, then row
+    # added in blocks of whole rows
     out = np.repeat(column, row.size)
     pattern = np.tile(row, max(1, 16384 // row.size))
     for lo in range(0, out.size, pattern.size):

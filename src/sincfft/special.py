@@ -7,7 +7,9 @@ and evaluated by Horner's rule in the piece's local coordinate.  Since
 ``B_order`` is even, only the pieces of the left half are tabulated and
 every argument is evaluated at ``-|x|``, so the local coordinate is the
 distance from the piece's outer breakpoint; the tail pieces then keep full
-relative accuracy down to the end of the support.
+relative accuracy down to the end of the support.  The coefficient table
+(``_bspline_pieces``) also serves :func:`sincfft.windows.phi_rows`, which
+evaluates every piece of a window row at once at one local coordinate.
 """
 
 import functools

@@ -23,14 +23,15 @@ Three shapes are provided:
     ``|x| >= 1`` (same ``beta`` as the sinh shape); closed-form transform.
 
 :func:`omega_eval` and :func:`phi_eval` fill one output in blocks of a
-fixed number of elements; ``phi_eval(spec, t, out=t)`` overwrites its
-argument.  A plan tabulates millions of window values at once and each
-shape formula needs several temporaries; per block they stay in cache and
-take constant memory instead of growing with the table.  Each shape's
-kernel computes only what that shape needs, elementwise in the same order
-of operations, so the values do not depend on the blocking.  Non-finite
-arguments raise :class:`ParameterError`; huge finite ones lie outside the
-support.
+fixed number of elements.  A plan tabulates millions of window values at
+once and each shape formula needs several temporaries; per block they
+stay in cache and take constant memory instead of growing with the table.
+Each shape's kernel computes only what that shape needs, elementwise in
+the same order of operations, so the values do not depend on the
+blocking.  Non-finite arguments raise :class:`ParameterError`; huge
+finite ones lie outside the support.  A plan's table, the ``2m`` values
+around each node, depends only on the node's fraction of a grid step:
+:func:`phi_rows` makes it from the fractions, with no table of arguments.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import ParameterError
-from .special import cardinal_bspline
+from .special import _bspline_pieces, cardinal_bspline
 
 _KINDS = ("sinh", "bspline", "kaiser-bessel")
 
@@ -106,11 +107,11 @@ _BLOCK = 16384
 
 
 def _root(y):
-    # y -> s = sqrt(1 - y^2) for |y| < 1 and s = 0 for |y| >= 1, in place
-    np.abs(y, out=y)
-    np.minimum(y, 1.0, out=y)
+    # y -> s = sqrt(max(1 - y^2, 0)), in place: s = 0 for |y| >= 1, also
+    # for the arguments of phi_rows that round to just above 1
     np.multiply(y, y, out=y)
     np.subtract(1.0, y, out=y)
+    np.maximum(y, 0.0, out=y)
     np.sqrt(y, out=y)
 
 
@@ -167,16 +168,14 @@ _KERNELS = {"sinh": _sinh_kernel, "bspline": _bspline_kernel,
             "kaiser-bessel": _kaiser_bessel_kernel}
 
 
-def _eval_blocked(spec, x, width, out=None):
+def _eval_blocked(spec, x, width):
     # omega(x / width) into one output, _BLOCK elements at a time; arguments
     # are clipped to |x| <= 2 width (outside the support, unchanged inside
     # it) so that huge finite ones cannot overflow.  Dividing by the width
     # maps an argument of +-width, however rounded, to exactly +-1.
     arr = np.asarray(x, dtype=float)
     src = arr.reshape(-1)
-    out = np.empty(arr.shape) if out is None else out
-    if out.shape != arr.shape or out.dtype != float or not out.flags.c_contiguous:
-        raise ParameterError("out must be a C-contiguous float array like x")
+    out = np.empty(arr.shape)
     dst = out.reshape(-1)
     kernel = _KERNELS[spec.kind](spec)
     tmp = np.empty(min(_BLOCK, src.size))
@@ -212,8 +211,12 @@ def _sinh_ratio_series(w):
 def _across_w_zero(b, v, series, pos, neg):
     # the sinh and Kaiser-Bessel transforms are entire in
     # w = beta^2 - 4 pi^2 v^2: a power series in w near w = 0, closed forms
-    # in z = sqrt(|w|) on either side
-    w = np.atleast_1d(b * b - 4.0 * np.pi * np.pi * v * v)
+    # in z = sqrt(|w|) on either side; pos may overwrite its argument
+    w = np.atleast_1d(np.multiply(4.0 * np.pi * np.pi, v))
+    w *= v
+    np.subtract(b * b, w, out=w)
+    if np.all(w > 1e-3):  # the band of a plan: one closed form, no masks
+        return pos(np.sqrt(w, out=w)).reshape(v.shape)
     res = np.empty_like(w)
     near = np.abs(w) <= 1e-3
     res[near] = series(w[near])
@@ -243,26 +246,90 @@ def omega_hat_eval(spec, v):
         one_m = -np.expm1(-2.0 * b)  # 1 - e^{-2 beta}
         # pi*beta/sinh(beta), written without evaluating sinh
         pref = 2.0 * np.pi * b * np.exp(-b) / one_m
+
+        def above(z):
+            # pref * I1(z)/z, with I1(z) = i1e(z) e^z folded into the
+            # prefactor: 2 pi beta i1e(z) e^{z - beta} / (one_m z)
+            out = _sp.i1e(z) * (2.0 * np.pi * b)
+            out *= np.exp(z - b)
+            out /= np.multiply(z, one_m, out=z)
+            return out
         out = _across_w_zero(
-            b, arr, lambda w: pref * _bessel_ratio_series(w),
-            # pref * I1(z)/z, with I1(z) = i1e(z) e^z folded into the prefactor
-            lambda z: 2.0 * np.pi * b * _sp.i1e(z) * np.exp(z - b) / (one_m * z),
+            b, arr, lambda w: pref * _bessel_ratio_series(w), above,
             lambda y: pref * _sp.j1(y) / y)
     else:  # kaiser-bessel
         i0e = _sp.i0e(b)
         pref = 2.0 * np.exp(-b) / i0e  # 2 / I0(beta)
-        out = _across_w_zero(
-            b, arr, lambda w: pref * _sinh_ratio_series(w),
+
+        def above(z):
             # 2 sinh(z) / (z I0(beta)) = (1 - e^{-2z}) e^{z - beta} / (z i0e(beta))
-            lambda z: -np.expm1(-2.0 * z) * np.exp(z - b) / (z * i0e),
+            out = -np.expm1(z * -2.0)
+            out *= np.exp(z - b)
+            out /= np.multiply(z, i0e, out=z)
+            return out
+        out = _across_w_zero(
+            b, arr, lambda w: pref * _sinh_ratio_series(w), above,
             lambda y: pref * np.sin(y) / y)
     return float(out) if arr.ndim == 0 else out
 
 
-def phi_eval(spec, t, out=None):
-    """Grid window ``phi(t) = omega(t / (m / n_grid))`` at finite ``t``, into
-    ``out`` if given: a C-contiguous float array of t's shape, ``t`` too."""
-    return _eval_blocked(spec, t, spec.m / spec.n_grid, out)
+def phi_eval(spec, t):
+    """Grid window ``phi(t) = omega(t / (m / n_grid))`` at finite ``t``."""
+    return _eval_blocked(spec, t, spec.m / spec.n_grid)
+
+
+def phi_rows(spec, t):
+    """Window rows of the fractions ``t``, a float vector in ``[0, 1]``: the
+    ``(t.size, 2m)`` array ``phi((t_j - l) / n_grid)``, ``l = 1-m+i`` in
+    column ``i``.
+
+    Filled ``_BLOCK`` elements at a time, with no table of arguments.  The
+    sinh and Kaiser-Bessel arguments ``(t_j/n + (-l)/n) / (m/n)`` lie in
+    ``[-1, 1]`` up to rounding and run the kernels of :func:`phi_eval`
+    without its checks: the values are ``phi_eval(spec, t_j/n + (-l)/n)``
+    bit for bit.  The B-spline column ``l >= 1`` is piece ``m - l`` at
+    ``u = t_j`` and column ``l <= 0`` piece ``m + l - 1`` at ``u = 1 - t_j``,
+    by Horner's rule over all pieces at once.  A row with ``t_j = 0`` ends
+    in the window's exact zero.
+    """
+    m, n = spec.m, spec.n_grid
+    out = np.empty((t.size, 2 * m))
+    rows = max(1, _BLOCK // (2 * m))
+    size = min(rows, t.size)
+    if spec.kind == "bspline":
+        coef = _bspline_pieces(2 * m)
+        # coefficient row i of the pieces of the two column halves, (2, m, 1)
+        c = np.stack((coef[:, :m], coef[:, m - 1::-1]), axis=1)[..., None]
+        b0 = cardinal_bspline(2 * m, 0.0)
+        u = np.empty((2, 1, size))
+        acc = np.empty((2, m, size))
+        for lo in range(0, t.size, rows):
+            tb = t[lo:lo + rows]
+            uk, ak = u[..., :tb.size], acc[..., :tb.size]
+            np.subtract(1.0, tb, out=uk[0, 0])
+            uk[1, 0] = tb
+            np.multiply(uk, c[0], out=ak)
+            for ci in c[1:-1]:
+                ak += ci
+                ak *= uk
+            ak += c[-1]
+            np.divide(ak.transpose(2, 0, 1), b0,
+                      out=out[lo:lo + tb.size].reshape(-1, 2, m))
+        return out
+    kernel = _KERNELS[spec.kind](spec)
+    # (-l)/n of every column, repeated for one block of rows
+    pattern = np.tile(np.arange(m - 1.0, -m - 1.0, -1.0) / n, size)
+    tmp = np.empty(pattern.size)
+    a = np.empty(size)
+    for lo in range(0, t.size, rows):
+        tb = t[lo:lo + rows]
+        np.divide(tb, n, out=a[:tb.size])
+        np.copyto(out[lo:lo + rows], a[:tb.size, None])
+        y = out[lo:lo + rows].reshape(-1)
+        y += pattern[:y.size]
+        np.divide(y, m / n, out=y)
+        kernel(y, tmp[:y.size])
+    return out
 
 
 def phi_hat_eval(spec, v):

@@ -61,6 +61,7 @@ BAD_PARAMETERS = {
     "sinc_plan-grid-m2": lambda: sinc_plan(32, GRID, GRID, m2=6.9),
     "sinc_plan-grid-sigma2-nan": lambda: sinc_plan(32, GRID, GRID, sigma2=NAN),
     "sinc_plan-grid-sigma2-inf": lambda: sinc_plan(32, GRID, GRID, sigma2=INF),
+    "sinc_plan-grid-window2": lambda: sinc_plan(32, GRID, GRID, window2="foo"),
     "rescale_frequencies-2d": lambda: rescale_frequencies(16, np.zeros((2, 3)), 2.0, 4),
     "rescale_frequencies-empty": lambda: rescale_frequencies(16, np.zeros(0), 2.0, 4),
     "sinc_transform_direct-nan": lambda: sinc_transform_direct(
@@ -85,6 +86,13 @@ BAD_PARAMETERS = {
         128, 6, 6, 2.0, 2.0, 4.0, epsilon=NAN),
     "bound_fast_sinc-nan-epsilon": lambda: bounds.bound_fast_sinc(
         NAN, 1e-4, 2e-4, 1.05, 0.5),
+    "bound_fast_sinc-inf-epsilon": lambda: bounds.bound_fast_sinc(
+        INF, 1e-4, 2e-4, 1.05, 0.5),
+    # nu = 1 lies far below the decay threshold: the surrogate bound overflows
+    "bound_report-surrogate-overflow": lambda: bounds.bound_report(
+        1000, 6, 6, 2.0, 2.0, 1.0),
+    "error_bound-surrogate-overflow": lambda: sinc_plan(
+        1000, GOOD, GOOD, n=1000).error_bound(),
 }
 
 

@@ -166,14 +166,15 @@ def test_trafo_allocates_only_its_grid_and_output():
     assert peak <= 1.1 * 16 * (plan.n_over + M)
 
 
-def test_plan_allocates_little_beyond_its_tables():
-    # the window arguments are written into the value table and evaluated
-    # there: besides the two tables only per-node vectors are made
+@pytest.mark.parametrize("kind", window_kinds())
+def test_plan_allocates_little_beyond_its_tables(kind):
+    # the window rows are evaluated in blocks straight into the value
+    # table: besides the two tables only per-node vectors are made
     x = np.random.default_rng(3).uniform(-0.5, 0.5, 65536)
-    nfft_plan(4096, x, m=8)  # first call: one-time costs
+    nfft_plan(4096, x, m=8, window=kind)  # first call: one-time costs
     tracemalloc.start()
     try:
-        plan = nfft_plan(4096, x, m=8)
+        plan = nfft_plan(4096, x, m=8, window=kind)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sincfft.errors import ParameterError
+from sincfft.special import cardinal_bspline
 from sincfft.windows import (_BLOCK, WindowSpec, omega_eval, omega_hat_eval,
-                             phi_eval, phi_hat_eval, window_kinds)
+                             phi_eval, phi_hat_eval, phi_rows, window_kinds)
 
 SPECS = {
     "sinh": WindowSpec("sinh", 4, 2.0, 64),
@@ -197,3 +198,70 @@ def test_huge_finite_argument_is_outside_the_support(kind):
         warnings.simplefilter("error")
         for evaluate in (omega_eval, phi_eval):
             assert np.all(evaluate(spec, x) == 0.0)
+
+
+def _row_arguments(spec, t):
+    # (t_j - l)/n for l = 1-m .. m, rounded as t_j/n + (-l)/n
+    return (t[:, None] / spec.n_grid
+            + np.arange(spec.m - 1.0, -spec.m - 1.0, -1.0) / spec.n_grid)
+
+
+# fractions with at most 44 bits, so that t - l is exact for |l| <= 10
+_DYADIC = st.one_of(st.integers(0, 2**44).map(lambda k: k / 2**44),
+                    st.sampled_from([0.0, 1.0 - 2.0**-44, 1.0]))
+_FRACTIONS = st.one_of(
+    st.floats(0.0, 1.0), _DYADIC,
+    st.sampled_from([np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(window_kinds()), m=st.integers(2, 10),
+       sigma=st.sampled_from([1.25, 1.5, 2.0]), data=st.data())
+def test_phi_rows_match_the_window(kind, m, sigma, data):
+    # grids of any even length, and powers of two
+    n = data.draw(st.one_of(
+        st.integers(m, 2048).map(lambda k: 2 * k),
+        st.integers((2 * m - 1).bit_length(), 16).map(lambda e: 2**e)))
+    spec = WindowSpec(kind, m, sigma, n)
+    fractions = _DYADIC if kind == "bspline" else _FRACTIONS
+    t = np.array(data.draw(st.lists(fractions, min_size=1, max_size=40)))
+    rows = phi_rows(spec, t)
+    # a node on a grid point ends in the window's exact zero
+    assert np.all(rows[t == 0.0, -1] == 0.0)
+    if kind != "bspline":
+        assert np.array_equal(rows, phi_eval(spec, _row_arguments(spec, t)))
+        return
+    # the B-spline at the exact arguments t - l, within 2 ulp: the pieces
+    # meet at a breakpoint up to rounding, and t = 0 and t = 1 take the
+    # piece on the other side of it
+    ell = np.arange(1 - m, m + 1)
+    ref = cardinal_bspline(2 * m, t[:, None] - ell) / cardinal_bspline(2 * m, 0.0)
+    assert np.all(np.abs(rows - ref) <= 2 * np.spacing(ref))
+    inner = (t > 0.0) & (t < 1.0)
+    assert np.array_equal(rows[inner], ref[inner])
+    if m & (m - 1) == 0 and n & (n - 1) == 0:  # the arguments are exact
+        assert np.array_equal(rows[inner],
+                              phi_eval(spec, _row_arguments(spec, t[inner])))
+
+
+def test_phi_rows_clamp_rounded_arguments():
+    # at m = 3, n = 210 the first argument of t just below 1 rounds to
+    # 1 + 2^-52: the root is clamped to 0, where 1 - y^2 < 0 would give NaN
+    t = np.array([np.nextafter(1.0, 0.0), 1.0])
+    for kind in ("sinh", "kaiser-bessel"):
+        spec = WindowSpec(kind, 3, 2.0, 210)
+        assert np.all(_row_arguments(spec, t)[:, 0] / (3 / 210) > 1.0)
+        rows = phi_rows(spec, t)
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("kind", window_kinds())
+def test_phi_rows_blocks_match_one_row_at_a_time(kind):
+    spec = WindowSpec(kind, 6, 2.0, 4096)
+    per_block = _BLOCK // (2 * spec.m)
+    t = np.random.default_rng(11).uniform(0.0, 1.0, 2 * per_block + 3)
+    rows = phi_rows(spec, t)
+    picks = np.r_[0:4, per_block - 2:per_block + 2, 2 * per_block - 1:t.size]
+    for j in picks:
+        assert np.array_equal(rows[j], phi_rows(spec, t[j:j + 1])[0])
+
