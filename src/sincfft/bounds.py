@@ -126,31 +126,13 @@ def choose_n(N, epsilon):
     raise ParameterError("choose_n: no admissible n found")
 
 
-def bound_fast_sinc(epsilon, e1, e2, a, hat_phi1_half):
-    """Error constant of the fast sinc transform, per unit ``sum |c_k|``.
-
-    With the surrogate level ``epsilon`` and the two-stage constant
-    ``B = e1 + a e2 / hat_phi1_half``, the guaranteed bound is
-    ``epsilon + 2B + B^2``.  The simplified form that holds for ``B <= 1``
-    is assembled by :func:`bound_report`.
-    """
-    for name, val in (("epsilon", epsilon), ("e1", e1), ("e2", e2)):
-        if not 0.0 <= val < math.inf:  # NaN included
-            raise ParameterError(f"bound_fast_sinc: {name} must be finite and >= 0")
-    if not a >= 1.0:
-        raise ParameterError("bound_fast_sinc: a must be >= 1")
-    if not hat_phi1_half > 0.0:
-        raise ParameterError("bound_fast_sinc: hat_phi1_half must be positive")
-    B = e1 + a * e2 / hat_phi1_half
-    return epsilon + 2.0 * B + B * B
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All bound ingredients for one parameter set, fully assembled.
 
     ``epsilon`` is the surrogate level the fast sinc bounds use and
-    ``b_term = e1 + a e2 / hat_phi1_half`` the two-stage constant.
+    ``b_term = B = e1 + a e2 / hat_phi1_half`` the two-stage constant of
+    the guaranteed bound ``fast_sinc_bound_full = epsilon + 2B + B^2``.
     """
 
     N: int
@@ -175,12 +157,13 @@ class BoundReport:
 def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
     """Assemble a :class:`BoundReport`.
 
-    ``epsilon`` defaults to the surrogate bound at oversampling ``nu``.
+    ``epsilon`` defaults to the surrogate bound at oversampling ``nu``; a
+    NaN, infinite or negative ``epsilon`` raises :class:`ParameterError`.
     The simplified bound ``epsilon + 3 e1 + 3 a e2 / hat_phi1_half`` is
     reported even when its condition ``b_term <= 1`` fails;
     ``simplified_valid`` says whether it may be used.  Raises
-    :class:`ParameterError` where the surrogate bound overflows (``nu``
-    far below the decay threshold).
+    :class:`ParameterError` where the surrogate bound (``nu`` far below
+    the decay threshold) or the full bound (``N`` beyond 1e160) overflows.
     """
     nnfft = bound_nnfft_sinh(N, sigma1, sigma2, m1, m2)  # checks the parameters
     e1 = bound_sinh_E(m1, sigma1)
@@ -193,6 +176,8 @@ def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
             f"bound_report: the surrogate bound overflows at N = {N}, nu = {nu:g} "
             f"(decay threshold {SINC_DECAY_CONSTANT:.4f})")
     eps = cc if epsilon is None else float(epsilon)
+    if not 0.0 <= eps < math.inf:  # NaN included
+        raise ParameterError("bound_report: epsilon must be finite and >= 0")
     # e2/hat, with e2 decaying faster than hat; once hat leaves the normal
     # range (m1 in the thousands) the quotient is formed in the exponent
     num, den = e2, hat
@@ -200,11 +185,14 @@ def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
         num, den = math.exp(_log_sinh_E(m2, sigma2)
                             - _log_hat_phi_sinh_at_half(N, sigma1, m1)), 1.0
     B = e1 + a * num / den
+    full = eps + 2.0 * B + B * B
+    if full == math.inf:
+        raise ParameterError(f"bound_report: the fast sinc bound overflows at N = {N}")
     return BoundReport(
         N=int(N), m1=int(m1), m2=int(m2), sigma1=float(sigma1),
         sigma2=float(sigma2), nu=float(nu), e1=e1, e2=e2, hat_phi1_half=hat,
         a=a, nnfft_bound=nnfft,
         cc_bound=cc, epsilon=eps, b_term=B,
-        fast_sinc_bound_full=bound_fast_sinc(eps, e1, num, a, den),
+        fast_sinc_bound_full=full,
         fast_sinc_bound_simplified=eps + 3.0 * e1 + 3.0 * a * num / den,
         simplified_valid=bool(B <= 1.0))

@@ -15,6 +15,14 @@ tables as deterministic CSV files:
 ``bounds``
     Bound tables alone (no measurements), one row per parameter tuple.
 
+Each subcommand is a generator of rows: one dict per parameter tuple, in
+``itertools.product`` order over the swept options, keyed by CSV column.
+One table, ``_COMMANDS``, gives each its generator, default ``--out`` and
+the desk and ``--paper`` values of unset options; one loop adds ``time_s``
+under ``--time`` and prints each row; one writer takes the header from the
+first row's keys.  A bound cell is empty where no closed-form bound holds
+(a window other than sinh, or ``m2 < m1``).
+
 Randomness comes from counter-based Philox streams: the draw for
 repetition ``r`` of parameter tuple ``t`` uses
 ``np.random.Philox(key=[seed, (t << 32) | r])``, so every (tuple,
@@ -26,6 +34,7 @@ failure.
 """
 
 import argparse
+import itertools
 import sys
 import time
 
@@ -35,207 +44,153 @@ from . import bounds as _bounds
 from .direct import nndft_direct, sinc_transform_direct
 from .errors import ParameterError, PositivityError
 from .fast_sinc import fast_sinc_transform, sinc_plan
-from .nnfft import nnfft_plan, nnfft_trafo
+from .nnfft import NnfftGeometry, nnfft_plan, nnfft_trafo
 from .sinc_approx import cc_quadrature, sinc_expsum_max_error
 from .windows import window_kinds
+
 
 def _stream(seed, tuple_index, rep):
     key = [seed & 0xFFFFFFFFFFFFFFFF, (tuple_index << 32) | rep]
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _certified(window1, window2, bound, *params):
+    """``bound(*params)``, or None (an empty cell) for a window other than
+    sinh or parameters outside the bound's range, such as ``m2 < m1``."""
+    if window1 != "sinh" or window2 != "sinh":
+        return None
+    try:
+        return bound(*params)
+    except ParameterError:
+        return None
+
+
+def _nnfft_error_rows(args):
+    w1, w2 = args.window1, args.window2
+    for t, (sigma1, m1) in enumerate(itertools.product(args.sigma1, args.m1)):
+        N, M1, M2 = args.N, args.M1, args.M2
+        m2 = m1 if args.m2 is None else args.m2
+        sigma2 = sigma1 if args.sigma2 is None else args.sigma2
+        # rejects N = 0 or sigma1 <= 1 before vmax divides by them
+        NnfftGeometry.from_parameters(N, M1, M2, sigma1, sigma2, m1, m2)
+        vmax = 0.5 / (1.0 + 2.0 * m1 / (sigma1 * N))
+        worst = 0.0
+        for rep in range(args.reps):
+            rng = _stream(args.seed, t, rep)
+            x = rng.uniform(-0.5, 0.5, M2)
+            v = rng.uniform(-vmax, vmax, M1)
+            f = rng.uniform(-1.0, 1.0, M1) + 1j * rng.uniform(-1.0, 1.0, M1)
+            plan = nnfft_plan(N, v, x, sigma1=sigma1, sigma2=sigma2,
+                              m1=m1, m2=m2, window1=w1, window2=w2)
+            err = np.max(np.abs(nndft_direct(f, v, x, N) - nnfft_trafo(plan, f)))
+            worst = max(worst, err / np.sum(np.abs(f)))
+        yield dict(N=N, M1=M1, M2=M2, window1=w1, window2=w2, m1=m1, m2=m2,
+                   sigma1=sigma1, sigma2=sigma2, reps=args.reps, seed=args.seed,
+                   measured=worst,
+                   bound=_certified(w1, w2, _bounds.bound_nnfft_sinh,
+                                    N, sigma1, sigma2, m1, m2))
+
+
+def _sinc_approx_rows(args):
+    for N, nu in itertools.product(args.N, args.nu):
+        yield dict(N=N, nu=nu, n=nu * N, R=args.R,
+                   measured=sinc_expsum_max_error(cc_quadrature(nu * N), N, args.R),
+                   bound=_bounds.bound_cc_sinc(N, float(nu)))
+
+
+def _sinc_transform_rows(args):
+    w1, w2 = args.window1, args.window2
+    for t, (N, nu) in enumerate(itertools.product(args.N, args.nu)):
+        L1 = N // 2 if args.L1 is None else args.L1
+        b = (np.arange(N) - N // 2) / N
+        worst = 0.0
+        for rep in range(args.reps):
+            rng = _stream(args.seed, t, rep)
+            a = rng.uniform(-0.5, 0.5, L1)
+            c = rng.uniform(-1.0, 1.0, L1) + 1j * rng.uniform(-1.0, 1.0, L1)
+            plan = sinc_plan(N, a, b, n=nu * N, m1=args.m1, m2=args.m2,
+                             sigma1=args.sigma1, sigma2=args.sigma2,
+                             window1=w1, window2=w2)
+            fast = fast_sinc_transform(plan, c)
+            if N <= args.direct_cap:
+                exact = sinc_transform_direct(c, a, b, N)
+                worst = max(worst, np.max(np.abs(exact - fast)) / np.sum(np.abs(c)))
+        cert = _certified(w1, w2, plan.error_bound) or {}
+        yield dict(N=N, L1=L1, L2=N, nu=nu, n=nu * N, m1=args.m1, m2=args.m2,
+                   sigma1=args.sigma1, sigma2=args.sigma2, window1=w1, window2=w2,
+                   reps=args.reps, seed=args.seed,
+                   measured=worst if N <= args.direct_cap else None,
+                   epsilon=cert.get("epsilon"), bound_full=cert.get("full"),
+                   bound_simplified=cert.get("simplified"),
+                   assump_ok=cert.get("simplified_valid"))
+
+
+def _bounds_rows(args):
+    # the fast sinc columns take the first --nu
+    for N, sigma1, m1 in itertools.product(args.N, args.sigma1, args.m1):
+        m2 = m1 if args.m2 is None else args.m2
+        sigma2 = sigma1 if args.sigma2 is None else args.sigma2
+        rep = _bounds.bound_report(N, m1, m2, sigma1, sigma2, float(args.nu[0]))
+        yield dict(N=N, m1=m1, m2=m2, sigma1=sigma1, sigma2=sigma2, E1=rep.e1,
+                   E2=rep.e2, hat_phi1_half=rep.hat_phi1_half, a=rep.a,
+                   nnfft_bound=rep.nnfft_bound,
+                   **{f"cc_bound_nu{nu}": _bounds.bound_cc_sinc(N, float(nu))
+                      for nu in args.nu},
+                   fast_sinc_full=rep.fast_sinc_bound_full,
+                   fast_sinc_simplified=rep.fast_sinc_bound_simplified,
+                   assump_ok=rep.simplified_valid)
+
+
+#: subcommand -> (row generator, default --out,
+#:                {option: (desk default, --paper default)})
+_COMMANDS = {
+    "nnfft-error": (_nnfft_error_rows, "nnfft_error.csv", {
+        "N": (128, 1200), "M1": (64, 2400), "M2": (48, 1600),
+        "m1": (list(range(2, 7)), list(range(2, 9))),
+        "sigma1": ([1.25, 1.5, 2.0],) * 2, "reps": (20, 100)}),
+    "sinc-approx": (_sinc_approx_rows, "sinc_approx.csv", {
+        "N": ([8, 16, 32, 64, 128],) * 2,
+        "nu": ([4, 5, 6], list(range(1, 11))), "R": (10000, 300000)}),
+    "sinc-transform": (_sinc_transform_rows, "sinc_transform.csv", {
+        "N": ([64, 128], [2 ** t for t in range(5, 14)]),
+        "nu": ([4], [4, 6, 8]), "reps": (10, 100)}),
+    "bounds": (_bounds_rows, "bounds.csv", {
+        "N": ([128],) * 2, "m1": (list(range(2, 9)),) * 2,
+        "sigma1": ([1.25, 1.5, 2.0],) * 2, "nu": ([4, 5, 6],) * 2}),
+}
+
+
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
 
 
-def _timed(args, row, tic):
-    # the wall-clock column of --time, when asked for
-    return row + [time.perf_counter() - tic] if args.time else row
+def _collect(args, rows):
+    """The rows, each timed under ``--time`` and reported on one line."""
+    out, tic = [], time.perf_counter()
+    for row in rows:
+        if getattr(args, "time", False):
+            row["time_s"] = time.perf_counter() - tic
+        print(f"{args.command}: " + " ".join(
+            f"{key}={val:.4g}" if isinstance(val, float) else f"{key}={_fmt(val) or 'n/a'}"
+            for key, val in row.items()))
+        out.append(row)
+        tic = time.perf_counter()
+    return out
 
 
-def _write_csv(args, header, rows):
-    if getattr(args, "time", False):
-        header = header + ["time_s"]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+def _write_csv(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# schema=1\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
-
-
-def _nnfft_bound_or_none(N, sigma1, sigma2, m1, m2, window1, window2):
-    if window1 != "sinh" or window2 != "sinh":
-        return None
-    try:
-        return _bounds.bound_nnfft_sinh(N, sigma1, sigma2, m1, m2)
-    except ParameterError:
-        return None
-
-
-def run_nnfft_error(args):
-    paper = args.paper
-    N = args.N if args.N is not None else (1200 if paper else 128)
-    M1 = args.M1 if args.M1 is not None else (2400 if paper else 64)
-    M2 = args.M2 if args.M2 is not None else (1600 if paper else 48)
-    reps = args.reps if args.reps is not None else (100 if paper else 20)
-    m1_list = args.m1 if args.m1 else (list(range(2, 9)) if paper else list(range(2, 7)))
-    sigma1_list = args.sigma1 if args.sigma1 else [1.25, 1.5, 2.0]
-    window1, window2 = args.window1, args.window2
-
-    header = ["N", "M1", "M2", "window1", "window2", "m1", "m2",
-              "sigma1", "sigma2", "reps", "seed", "measured", "bound"]
-    rows = []
-    tuple_index = 0
-    for sigma1 in sigma1_list:
-        for m1 in m1_list:
-            m2 = args.m2 if args.m2 is not None else m1
-            sigma2 = args.sigma2 if args.sigma2 is not None else sigma1
-            tic = time.perf_counter()
-            vmax = 0.5 / (1.0 + 2.0 * m1 / (sigma1 * N))
-            worst = 0.0
-            for rep in range(reps):
-                rng = _stream(args.seed, tuple_index, rep)
-                x = rng.uniform(-0.5, 0.5, M2)
-                v = rng.uniform(-vmax, vmax, M1)
-                f = rng.uniform(-1.0, 1.0, M1) + 1j * rng.uniform(-1.0, 1.0, M1)
-                plan = nnfft_plan(N, v, x, sigma1=sigma1, sigma2=sigma2,
-                                  m1=m1, m2=m2, window1=window1, window2=window2)
-                err = np.max(np.abs(nndft_direct(f, v, x, N) - nnfft_trafo(plan, f)))
-                worst = max(worst, err / np.sum(np.abs(f)))
-            bound = _nnfft_bound_or_none(N, sigma1, sigma2, m1, m2, window1, window2)
-            rows.append(_timed(args, [N, M1, M2, window1, window2, m1, m2, sigma1,
-                                      sigma2, reps, args.seed, worst, bound], tic))
-            print(f"nnfft-error: sigma1={sigma1:g} m1={m1} m2={m2} "
-                  f"measured={worst:.3e} bound="
-                  + (f"{bound:.3e}" if bound is not None else "n/a"))
-            tuple_index += 1
-    return _write_csv(args, header, rows)
-
-
-def run_sinc_approx(args):
-    paper = args.paper
-    N_list = args.N if args.N else [8, 16, 32, 64, 128]
-    nu_list = args.nu if args.nu else (list(range(1, 11)) if paper else [4, 5, 6])
-    R = args.R if args.R is not None else (300000 if paper else 10000)
-
-    header = ["N", "nu", "n", "R", "measured", "bound"]
-    rows = []
-    for N in N_list:
-        for nu in nu_list:
-            tic = time.perf_counter()
-            n = nu * N
-            quad = cc_quadrature(n)
-            measured = sinc_expsum_max_error(quad, N, R)
-            bound = _bounds.bound_cc_sinc(N, float(nu))
-            rows.append(_timed(args, [N, nu, n, R, measured, bound], tic))
-            print(f"sinc-approx: N={N} nu={nu} measured={measured:.3e} bound={bound:.3e}")
-    return _write_csv(args, header, rows)
-
-
-def run_sinc_transform(args):
-    paper = args.paper
-    N_list = args.N if args.N else ([2 ** t for t in range(5, 14)] if paper else [64, 128])
-    nu_list = args.nu if args.nu else ([4, 6, 8] if paper else [4])
-    reps = args.reps if args.reps is not None else (100 if paper else 10)
-    window1, window2 = args.window1, args.window2
-
-    header = ["N", "L1", "L2", "nu", "n", "m1", "m2", "sigma1", "sigma2",
-              "window1", "window2", "reps", "seed", "measured", "epsilon",
-              "bound_full", "bound_simplified", "assump_ok"]
-    rows = []
-    tuple_index = 0
-    for N in N_list:
-        L1 = args.L1 if args.L1 is not None else N // 2
-        b = (np.arange(N) - N // 2) / N
-        for nu in nu_list:
-            tic = time.perf_counter()
-            n = nu * N
-            worst = None
-            plan = None
-            for rep in range(reps):
-                rng = _stream(args.seed, tuple_index, rep)
-                a = rng.uniform(-0.5, 0.5, L1)
-                c = rng.uniform(-1.0, 1.0, L1) + 1j * rng.uniform(-1.0, 1.0, L1)
-                plan = sinc_plan(N, a, b, n=n, m1=args.m1, m2=args.m2,
-                                 sigma1=args.sigma1, sigma2=args.sigma2,
-                                 window1=window1, window2=window2)
-                fast = fast_sinc_transform(plan, c)
-                if N <= args.direct_cap:
-                    exact = sinc_transform_direct(c, a, b, N)
-                    err = np.max(np.abs(exact - fast)) / np.sum(np.abs(c))
-                    worst = err if worst is None else max(worst, err)
-            if window1 == "sinh" and window2 == "sinh":
-                rep_info = plan.error_bound()
-                eps, full = rep_info["epsilon"], rep_info["full"]
-                simp, ok = rep_info["simplified"], rep_info["simplified_valid"]
-            else:
-                eps = full = simp = ok = None
-            rows.append(_timed(args, [N, L1, N, nu, n, args.m1, args.m2,
-                                      args.sigma1, args.sigma2, window1, window2,
-                                      reps, args.seed, worst, eps, full, simp, ok],
-                               tic))
-            msg = f"{worst:.3e}" if worst is not None else "n/a (direct oracle capped)"
-            print(f"sinc-transform: N={N} nu={nu} measured={msg} bound_full="
-                  + (f"{full:.3e}" if full is not None else "n/a"))
-            tuple_index += 1
-    return _write_csv(args, header, rows)
-
-
-def run_bounds(args):
-    N_list = args.N if args.N else [128]
-    m1_list = args.m1 if args.m1 else list(range(2, 9))
-    sigma1_list = args.sigma1 if args.sigma1 else [1.25, 1.5, 2.0]
-    nu_list = args.nu if args.nu else [4, 5, 6]
-
-    header = (["N", "m1", "m2", "sigma1", "sigma2", "E1", "E2",
-               "hat_phi1_half", "a", "nnfft_bound"]
-              + [f"cc_bound_nu{nu}" for nu in nu_list]
-              + ["fast_sinc_full", "fast_sinc_simplified", "assump_ok"])
-    rows = []
-    for N in N_list:
-        for sigma1 in sigma1_list:
-            for m1 in m1_list:
-                m2 = args.m2 if args.m2 is not None else m1
-                sigma2 = args.sigma2 if args.sigma2 is not None else sigma1
-                report = _bounds.bound_report(N, m1, m2, sigma1, sigma2,
-                                              float(nu_list[0]))
-                cc_cols = [_bounds.bound_cc_sinc(N, float(nu)) for nu in nu_list]
-                rows.append([N, m1, m2, sigma1, sigma2, report.e1, report.e2,
-                             report.hat_phi1_half, report.a, report.nnfft_bound]
-                            + cc_cols
-                            + [report.fast_sinc_bound_full,
-                               report.fast_sinc_bound_simplified,
-                               report.simplified_valid])
-    return _write_csv(args, header, rows)
-
-
-def _add_window_args(p):
-    kinds = window_kinds()
-    p.add_argument("--window1", default="sinh", choices=kinds,
-                   help="window shape of the first gridding stage")
-    p.add_argument("--window2", default="sinh", choices=kinds,
-                   help="window shape of the second gridding stage")
-
-
-def _add_run_args(p, out, preset, draws=True):
-    if draws:
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paper", action="store_true",
-                   help=f"use the large preset ({preset})")
-    p.add_argument("--out", default=out)
-    p.add_argument("--time", action="store_true",
-                   help="append a wall-clock column (breaks byte determinism)")
+            fh.write(",".join(_fmt(cell) for cell in row.values()) + "\n")
+    print(f"wrote {path} ({len(rows)} rows)")
 
 
 def _build_parser():
@@ -244,68 +199,64 @@ def _build_parser():
         description="Accuracy experiments and bound tables for the fast "
                     "sinc and nonequispaced Fourier transforms.")
     sub = parser.add_subparsers(dest="command", required=True)
+    ne, sa, st, bd = _COMMANDS
+    subs = {name: sub.add_parser(name, help=text) for name, text in zip(_COMMANDS, (
+        "measured error of the two-stage transform vs. bound",
+        "sinc surrogate error on a fine grid vs. bound",
+        "fast sinc transform error vs. full/simplified bounds",
+        "bound tables only, no measurements"))}
 
-    p = sub.add_parser("nnfft-error",
-                       help="measured error of the two-stage transform vs. bound")
-    p.add_argument("--N", type=int, default=None, help="bandwidth")
-    p.add_argument("--M1", type=int, default=None, help="number of frequencies")
-    p.add_argument("--M2", type=int, default=None, help="number of spatial nodes")
-    p.add_argument("--m1", type=int, nargs="+", default=None,
-                   help="first-stage cut-offs to sweep")
-    p.add_argument("--m2", type=int, default=None,
-                   help="second-stage cut-off (default: equal to m1)")
-    p.add_argument("--sigma1", type=float, nargs="+", default=None,
-                   help="first-stage oversampling factors to sweep")
-    p.add_argument("--sigma2", type=float, default=None,
-                   help="second-stage oversampling (default: equal to sigma1)")
-    _add_window_args(p)
-    _add_run_args(p, "nnfft_error.csv", "N=1200, M1=2400, M2=1600, m1=2..8, "
-                                        "100 repetitions")
-    p.set_defaults(func=run_nnfft_error)
+    def add(names, flag, **kw):
+        for name in names:
+            subs[name].add_argument(flag, **kw)
 
-    p = sub.add_parser("sinc-approx",
-                       help="sinc surrogate error on a fine grid vs. bound")
-    p.add_argument("--N", type=int, nargs="+", default=None)
-    p.add_argument("--nu", type=int, nargs="+", default=None,
-                   help="oversampling factors n = nu*N")
-    p.add_argument("--R", type=int, default=None, help="evaluation grid size")
-    _add_run_args(p, "sinc_approx.csv", "nu=1..10, R=300000", draws=False)
-    p.set_defaults(func=run_sinc_approx)
-
-    p = sub.add_parser("sinc-transform",
-                       help="fast sinc transform error vs. full/simplified bounds")
-    p.add_argument("--N", type=int, nargs="+", default=None)
-    p.add_argument("--nu", type=int, nargs="+", default=None)
-    p.add_argument("--L1", type=int, default=None,
-                   help="number of sources (default N/2)")
-    p.add_argument("--m1", type=int, default=6)
-    p.add_argument("--m2", type=int, default=6)
-    p.add_argument("--sigma1", type=float, default=2.0)
-    p.add_argument("--sigma2", type=float, default=2.0)
-    _add_window_args(p)
-    p.add_argument("--direct-cap", type=int, default=2048, dest="direct_cap",
-                   help="largest N for which the quadratic oracle runs")
-    _add_run_args(p, "sinc_transform.csv", "N=2^5..2^13, nu in {4,6,8}, "
-                                           "100 repetitions")
-    p.set_defaults(func=run_sinc_transform)
-
-    p = sub.add_parser("bounds", help="bound tables only, no measurements")
-    p.add_argument("--N", type=int, nargs="+", default=None)
-    p.add_argument("--m1", type=int, nargs="+", default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--sigma1", type=float, nargs="+", default=None)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--nu", type=int, nargs="+", default=None)
-    p.add_argument("--out", default="bounds.csv")
-    p.set_defaults(func=run_bounds)
-
+    add([ne], "--N", type=int, help="bandwidth")
+    add([sa, st, bd], "--N", type=int, nargs="+", help="bandwidths to sweep")
+    add([ne], "--M1", type=int, help="number of frequencies")
+    add([ne], "--M2", type=int, help="number of spatial nodes")
+    add([sa, st, bd], "--nu", type=int, nargs="+",
+        help="oversampling factors n = nu*N to sweep")
+    add([sa], "--R", type=int, help="evaluation grid size")
+    add([st], "--L1", type=int, help="number of sources (default N/2)")
+    add([ne, bd], "--m1", type=int, nargs="+", help="first-stage cut-offs to sweep")
+    add([ne, bd], "--m2", type=int, help="second-stage cut-off (default: equal to m1)")
+    add([ne, bd], "--sigma1", type=float, nargs="+",
+        help="first-stage oversampling factors to sweep")
+    add([ne, bd], "--sigma2", type=float,
+        help="second-stage oversampling (default: equal to sigma1)")
+    for flag, kind, default in (("--m1", int, 6), ("--m2", int, 6),
+                                ("--sigma1", float, 2.0), ("--sigma2", float, 2.0)):
+        add([st], flag, type=kind, default=default)
+    for stage in ("1", "2"):
+        add([ne, st], f"--window{stage}", default="sinh", choices=window_kinds(),
+            help=f"window shape of gridding stage {stage}")
+    add([st], "--direct-cap", type=int, default=2048, dest="direct_cap",
+        help="largest N for which the quadratic oracle runs")
+    add([ne, st], "--reps", type=int, help="repetitions per tuple, at least 1")
+    add([ne, st], "--seed", type=int, default=0)
+    for name in (ne, sa, st):
+        preset = ", ".join(f"{opt}={big}" for opt, (desk, big)
+                           in _COMMANDS[name][2].items() if desk != big)
+        add([name], "--paper", action="store_true",
+            help=f"use the large preset ({preset})")
+    for name, (_, out, _) in _COMMANDS.items():
+        add([name], "--out", default=out)
+    add([ne, sa, st], "--time", action="store_true",
+        help="append a wall-clock column (breaks byte determinism)")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    rows_of, _, presets = _COMMANDS[args.command]
+    for option, (desk, big) in presets.items():
+        if getattr(args, option) is None:
+            setattr(args, option, big if getattr(args, "paper", False) else desk)
     try:
-        return args.func(args)
+        if getattr(args, "reps", 1) < 1:
+            raise ParameterError(f"--reps must be at least 1, got {args.reps}")
+        _write_csv(args.out, _collect(args, rows_of(args)))
+        return 0
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,13 +104,17 @@ def test_choose_n_crossover():
 
 
 def test_fast_sinc_bound_forms():
-    eps, e1, e2, a = 1e-9, 1e-4, 2e-4, 1.05
-    hat = 0.5
-    B = e1 + a * e2 / hat
-    full = bounds.bound_fast_sinc(eps, e1, e2, a, hat)
-    assert full == pytest.approx(eps + 2 * B + B * B, rel=1e-15)
-    # the full form holds also for B > 1
-    assert bounds.bound_fast_sinc(eps, 2.0, 2.0, 1.5, 1e-3) > 1.0
+    eps = 1e-9
+    rep = bounds.bound_report(1200, 4, 6, 2.0, 1.5, 4.0, epsilon=eps)
+    B = rep.e1 + rep.a * rep.e2 / rep.hat_phi1_half
+    assert rep.epsilon == eps and rep.b_term == B < 1.0
+    assert rep.fast_sinc_bound_full == pytest.approx(eps + 2 * B + B * B, rel=1e-15)
+    # the full form holds also for B > 1, where the simplified one does not
+    rep = bounds.bound_report(128, 2, 2, 1.25, 1.25, 4.0, epsilon=eps)
+    B = rep.b_term
+    assert B > 1.0 and not rep.simplified_valid
+    assert rep.fast_sinc_bound_full == pytest.approx(eps + 2 * B + B * B, rel=1e-15)
+    assert rep.fast_sinc_bound_full > 1.0
 
 
 def test_bound_report_assembles_consistently():

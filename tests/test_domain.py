@@ -84,10 +84,13 @@ BAD_PARAMETERS = {
     "hat_phi_sinh_at_half-nan-N": lambda: bounds.hat_phi_sinh_at_half(NAN, 2, 4),
     "bound_report-nan-epsilon": lambda: bounds.bound_report(
         128, 6, 6, 2.0, 2.0, 4.0, epsilon=NAN),
-    "bound_fast_sinc-nan-epsilon": lambda: bounds.bound_fast_sinc(
-        NAN, 1e-4, 2e-4, 1.05, 0.5),
-    "bound_fast_sinc-inf-epsilon": lambda: bounds.bound_fast_sinc(
-        INF, 1e-4, 2e-4, 1.05, 0.5),
+    "bound_report-inf-epsilon": lambda: bounds.bound_report(
+        128, 6, 6, 2.0, 2.0, 4.0, epsilon=INF),
+    "bound_report-negative-epsilon": lambda: bounds.bound_report(
+        128, 6, 6, 2.0, 2.0, 4.0, epsilon=-1e-9),
+    # finite inputs whose full bound epsilon + 2B + B^2 overflows
+    "bound_report-full-overflow": lambda: bounds.bound_report(
+        1e170, 6, 6, 2.0, 2.0, 4.0),
     # nu = 1 lies far below the decay threshold: the surrogate bound overflows
     "bound_report-surrogate-overflow": lambda: bounds.bound_report(
         1000, 6, 6, 2.0, 2.0, 1.0),

@@ -178,7 +178,7 @@ def _error_bound_by_hand(plan):
     b_term = e1 + geo.a * e2 / hat
     return {"epsilon": epsilon, "e1": e1, "e2": e2, "a": geo.a,
             "hat_phi1_half": hat, "b_term": b_term,
-            "full": bounds.bound_fast_sinc(epsilon, e1, e2, geo.a, hat),
+            "full": epsilon + 2.0 * b_term + b_term * b_term,
             "simplified": epsilon + 3.0 * e1 + 3.0 * geo.a * e2 / hat,
             "simplified_valid": bool(b_term <= 1.0)}
 
