@@ -19,20 +19,11 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import ParameterError
+from .windows import check_window
 
 #: Decay threshold of the Clenshaw-Curtis sinc surrogate:
 #: ``pi (e^2 - 1) / (2 e)`` (equivalently ``pi * sinh(1)``).
 SINC_DECAY_CONSTANT = math.pi * (math.e ** 2 - 1.0) / (2.0 * math.e)
-
-_SIGMA_TOL = 1e-9
-
-
-def _check_sinh_params(m, sigma, who):
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ParameterError(f"{who}: m must be an integer >= 2")
-    if not (1.25 - _SIGMA_TOL <= sigma <= 2.0 + _SIGMA_TOL):
-        raise ParameterError(
-            f"{who}: sinh-type bounds require 5/4 <= sigma <= 2, got {sigma}")
 
 
 def _log_sinh_E(m, sigma):
@@ -42,7 +33,7 @@ def _log_sinh_E(m, sigma):
 def bound_sinh_E(m, sigma):
     """Single-stage gridding error constant of the sinh-type window:
     ``(24 m^{3/2} + 10) e^{-2 pi m sqrt(1 - 1/sigma)}``."""
-    _check_sinh_params(m, sigma, "bound_sinh_E")
+    check_window("sinh", m, sigma)
     return math.exp(_log_sinh_E(m, sigma))
 
 
@@ -66,7 +57,7 @@ def hat_phi_sinh_at_half(N, sigma, m):
     with ``N1 = sigma N`` and ``beta = 2 pi m (1 - 1/(2 sigma))``; it
     underflows to 0 for ``m`` in the thousands.
     """
-    _check_sinh_params(m, sigma, "hat_phi_sinh_at_half")
+    check_window("sinh", m, sigma)
     if not 0 < N < math.inf:
         raise ParameterError("hat_phi_sinh_at_half: N must be finite and positive")
     return math.exp(_log_hat_phi_sinh_at_half(N, sigma, m))
@@ -81,8 +72,8 @@ def bound_nnfft_sinh(N, sigma1, sigma2, m1, m2):
     times the faster decaying ``bound_sinh_E(m2, sigma2)``, is summed in
     the exponent, so no cut-off overflows it.
     """
-    _check_sinh_params(m1, sigma1, "bound_nnfft_sinh")
-    _check_sinh_params(m2, sigma2, "bound_nnfft_sinh")
+    check_window("sinh", m1, sigma1, "1")
+    check_window("sinh", m2, sigma2, "2")
     if m2 < m1:
         raise ParameterError("bound_nnfft_sinh: requires m2 >= m1")
     if not 0 < N < math.inf:

@@ -21,7 +21,6 @@ Total cost ``O((L1 + L2 + N log N) log(1/eps))`` at target accuracy ``eps``.
 """
 
 import enum
-import math
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .nfft import (_DOMAIN_TOL, NfftPlan, as_coefficients, as_nodes,
                    grid_length, nfft_adjoint, nfft_plan, nfft_trafo)
 from .nnfft import NnfftGeometry, fast_bandwidth, nnfft_plan, nnfft_trafo
 from .sinc_approx import cc_quadrature
-from .windows import window_kinds
+from .windows import check_window
 
 
 class SincMode(enum.Enum):
@@ -159,7 +158,10 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
         Target surrogate accuracy in ``(0, 1)``; the smallest admissible
         power of two is selected for ``n``.
     m1, m2, sigma1, sigma2, window1, window2
-        Parameters of the inner gridding stages.
+        Parameters of the inner gridding stages.  Both windows pass
+        :func:`~sincfft.windows.check_window` as requested (a sinh
+        ``sigma2`` before even-grid rounding), whichever route each stage
+        takes, before the quadrature or any table is made.
     """
     if not isinstance(N, (int, np.integer)) or N <= 0:
         raise ParameterError("sinc_plan: N must be a positive integer")
@@ -171,21 +173,13 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
         raise ParameterError("sinc_plan: pass either n or epsilon, not both")
     if n is None:
         n = 4 * N if epsilon is None else _bounds.choose_n(N, float(epsilon))
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError("sinc_plan: n must be an integer >= 2")
-    quad = cc_quadrature(int(n))
+    sigma1, sigma2 = float(sigma1), float(sigma2)
+    check_window(window1, m1, sigma1, "1")
+    check_window(window2, m2, sigma2, "2")
+    n_star = fast_bandwidth(N, sigma1, m1)
+    quad = cc_quadrature(n)
     z = quad.points
 
-    sigma1, sigma2 = float(sigma1), float(sigma2)
-    # checked here too, as a plan whose stages are both NFFTs never uses them
-    if not isinstance(m2, (int, np.integer)) or m2 < 2:
-        raise ParameterError("sinc_plan: m2 must be an integer >= 2")
-    if not 1.0 < sigma2 < math.inf:
-        raise ParameterError(f"sinc_plan: sigma2 must be finite and > 1, got {sigma2}")
-    if window2 not in window_kinds():
-        raise ParameterError(
-            f"sinc_plan: unknown window2 {window2!r}; expected one of {window_kinds()}")
-    n_star = fast_bandwidth(N, sigma1, m1)
     if _on_grid(a, a.size, sigma1, m1):
         t = _wrap_half(-(N / (2.0 * a.size)) * z)
         plan1 = nfft_plan(a.size, t, sigma=sigma1, m=m1, window=window1)
@@ -206,7 +200,7 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
                            window1=window1, window2=window2)
 
     params = (m1, m2, sigma1, sigma2, window1, window2)
-    return SincPlan(N, int(n), a.size, b.size, params, n_star, plan1, plan3)
+    return SincPlan(N, quad.n, a.size, b.size, params, n_star, plan1, plan3)
 
 
 def fast_sinc_transform(plan, c):

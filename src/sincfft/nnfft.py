@@ -33,7 +33,7 @@ from .errors import ParameterError, PositivityError
 from .nfft import (_DOMAIN_TOL, as_coefficients, as_nodes, grid_length,
                    nfft_plan, nfft_trafo, stencil_matrix, stencil_table)
 # phi_eval stays importable here for tracers that rebind it per module
-from .windows import WindowSpec, phi_eval, phi_hat_eval
+from .windows import WindowSpec, check_window, phi_eval, phi_hat_eval
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,8 @@ class NnfftGeometry:
         for name, val in (("M1", M1), ("M2", M2)):
             if not isinstance(val, (int, np.integer)) or val <= 0:
                 raise ParameterError(f"{name} must be a positive integer")
-        for name, val in (("m1", m1), ("m2", m2)):
-            if not isinstance(val, (int, np.integer)) or val < 2:
-                raise ParameterError(f"{name} must be an integer >= 2")
-        if not sigma1 > 1.0 or not sigma2 > 1.0:
-            raise ParameterError("sigma1 and sigma2 must be > 1")
+        check_window(None, m1, sigma1, "1")
+        check_window(None, m2, sigma2, "2")
 
         N1 = grid_length(N, sigma1, m1)
         if N1 is None:
@@ -79,7 +76,7 @@ class NnfftGeometry:
         K = N1 + 2 * m1
         n2f = sigma2 * K
         if not math.isfinite(n2f):
-            raise ParameterError(f"sigma2 must be finite, got {sigma2}")
+            raise ParameterError(f"sigma2 * K must be finite, got sigma2 = {sigma2}")
         N2 = int(round(n2f))
         if abs(n2f - N2) > 1e-9:
             N2 = math.ceil(n2f)
@@ -130,10 +127,7 @@ def fast_bandwidth(N, sigma1, m1):
     requires) and ``K = N1 + 2 m1`` is a fast FFT length
     (``next_fast_len(K) == K``); with ``sigma2 = 2`` the FFT length ``2K``
     then has no prime factor above 11."""
-    if not 1.0 < sigma1 < math.inf:
-        raise ParameterError(f"sigma1 must be finite and > 1, got {sigma1}")
-    if not isinstance(m1, (int, np.integer)) or m1 < 2:
-        raise ParameterError("m1 must be an integer >= 2")
+    check_window(None, m1, sigma1, "1")
     start = int(N) + math.ceil(2 * m1 / sigma1)
     for n_star in range(start, start + 100000):
         n1 = grid_length(n_star, sigma1, m1)

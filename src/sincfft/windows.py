@@ -34,6 +34,7 @@ around each node, depends only on the node's fraction of a grid step:
 :func:`phi_rows` makes it from the fractions, with no table of arguments.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,24 @@ def window_kinds():
     return _KINDS
 
 
+def check_window(kind, m, sigma, stage=""):
+    """Raise :class:`ParameterError` unless ``(kind, m, sigma)`` is an
+    admissible window: ``kind`` one of :func:`window_kinds` (``None``: any
+    kind), ``m`` an integer >= 2, ``sigma`` finite and > 1, and
+    ``5/4 <= sigma <= 2`` for ``sinh``, the range of its error estimates.
+    ``stage`` is appended to the names in the messages."""
+    if kind is not None and kind not in _KINDS:
+        raise ParameterError(
+            f"unknown window{stage} kind {kind!r}; expected one of {_KINDS}")
+    if not isinstance(m, (int, np.integer)) or m < 2:
+        raise ParameterError(f"m{stage} must be an integer >= 2, got {m}")
+    if not 1.0 < sigma < math.inf:
+        raise ParameterError(f"sigma{stage} must be finite and > 1, got {sigma}")
+    if kind == "sinh" and not 1.25 - _SIGMA_TOL <= sigma <= 2.0 + _SIGMA_TOL:
+        raise ParameterError(
+            f"sinh window requires 5/4 <= sigma{stage} <= 2, got {sigma}")
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Immutable description of one window: shape, cut-off, oversampling, grid.
@@ -63,8 +82,8 @@ class WindowSpec:
     m : int
         Cut-off; the window is supported on ``2m`` grid points.
     sigma : float
-        Oversampling factor (> 1).  The ``sinh`` shape additionally
-        requires ``5/4 <= sigma <= 2``.
+        Oversampling factor, finite and > 1.  The ``sinh`` shape
+        additionally requires ``5/4 <= sigma <= 2``.
     n_grid : int
         Positive even grid length with ``2m <= n_grid``.
     """
@@ -75,17 +94,7 @@ class WindowSpec:
     n_grid: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(
-                f"unknown window kind {self.kind!r}; expected one of {_KINDS}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
-            raise ParameterError("window cut-off m must be an integer >= 2")
-        if not self.sigma > 1.0:
-            raise ParameterError("window oversampling sigma must be > 1")
-        if self.kind == "sinh" and not (
-                1.25 - _SIGMA_TOL <= self.sigma <= 2.0 + _SIGMA_TOL):
-            raise ParameterError(
-                f"sinh window requires 5/4 <= sigma <= 2, got sigma={self.sigma}")
+        check_window(self.kind, self.m, self.sigma)
         if (not isinstance(self.n_grid, (int, np.integer))
                 or self.n_grid <= 0 or self.n_grid % 2):
             raise ParameterError("n_grid must be a positive even integer")

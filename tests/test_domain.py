@@ -3,6 +3,8 @@ nodes outside [-1/2, 1/2], fractional cut-offs and non-finite oversampling
 factors, transforms non-finite coefficients, the direct oracles and the
 bounds any non-finite input."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from sincfft.direct import ndft_direct, nndft_direct, sinc_transform_direct
 from sincfft.errors import ParameterError
 from sincfft.fast_sinc import fast_sinc_transform, sinc_plan
 from sincfft.nfft import nfft_adjoint, nfft_plan, nfft_trafo
-from sincfft.nnfft import nnfft_plan, nnfft_trafo, rescale_frequencies
+from sincfft.nnfft import (NnfftGeometry, nnfft_plan, nnfft_trafo,
+                           rescale_frequencies)
+from sincfft.windows import WindowSpec
 
 GOOD = np.array([0.1, 0.0, -0.2, 0.3])
 GRID = (np.arange(32) - 16) / 32  # both stages of sinc_plan(32, GRID, GRID) are NFFTs
@@ -48,6 +52,17 @@ BAD_PARAMETERS = {
     "nfft_plan-sigma-nan": lambda: nfft_plan(16, GOOD, sigma=NAN),
     "nfft_plan-sigma-inf": lambda: nfft_plan(16, GOOD, sigma=INF),
     "nfft_plan-sigma-neginf": lambda: nfft_plan(16, GOOD, sigma=-INF),
+    # finite oversampling factors whose grid lengths overflow
+    "nfft_plan-sigma-overflow": lambda: nfft_plan(16, GOOD, sigma=1e308),
+    "nnfft_plan-sigma1-overflow": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, sigma1=1e308),
+    "nnfft_plan-sigma2-overflow": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, sigma2=1e308),
+    "NnfftGeometry-sigma2-overflow": lambda: NnfftGeometry.from_parameters(
+        32, 4, 4, 2.0, 1e308, 4, 4),
+    "sinc_plan-sigma1-overflow": lambda: sinc_plan(
+        32, GOOD, GOOD, sigma1=1e308, window1="bspline", window2="bspline"),
+    "sinc_plan-sigma2-overflow": lambda: sinc_plan(
+        32, GOOD, GOOD, sigma2=1e308, window1="bspline", window2="bspline"),
+    "WindowSpec-sigma-inf": lambda: WindowSpec("bspline", 4, INF, 64),
     "nnfft_plan-m1": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, m1=3.7),
     "nnfft_plan-m2": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, m2=4.2),
     "nnfft_plan-sigma1-inf": lambda: nnfft_plan(32, 0.5 * GOOD, GOOD, sigma1=INF),
@@ -62,6 +77,8 @@ BAD_PARAMETERS = {
     "sinc_plan-grid-sigma2-nan": lambda: sinc_plan(32, GRID, GRID, sigma2=NAN),
     "sinc_plan-grid-sigma2-inf": lambda: sinc_plan(32, GRID, GRID, sigma2=INF),
     "sinc_plan-grid-window2": lambda: sinc_plan(32, GRID, GRID, window2="foo"),
+    "sinc_plan-grid-sigma2-below-sinh-range": lambda: sinc_plan(32, GRID, GRID, sigma2=1.1),
+    "sinc_plan-grid-sigma2-above-sinh-range": lambda: sinc_plan(32, GRID, GRID, sigma2=3.0),
     "rescale_frequencies-2d": lambda: rescale_frequencies(16, np.zeros((2, 3)), 2.0, 4),
     "rescale_frequencies-empty": lambda: rescale_frequencies(16, np.zeros(0), 2.0, 4),
     "sinc_transform_direct-nan": lambda: sinc_transform_direct(
@@ -103,3 +120,26 @@ BAD_PARAMETERS = {
 def test_bad_parameter_is_rejected(case):
     with pytest.raises(ParameterError):
         BAD_PARAMETERS[case]()
+
+
+def test_both_sinc_plan_routes_reject_the_same_windows():
+    # window2 serves no stage of the grid plan, yet both plans check it
+    for kwargs in ({"sigma2": 1.1}, {"sigma2": 3.0}, {"sigma2": INF},
+                   {"m2": 1}, {"m2": 4.5}):
+        for nodes in (GRID, GOOD):
+            with pytest.raises(ParameterError):
+                sinc_plan(32, nodes, nodes, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"window1": "foo"}, {"sigma1": 1.1},
+                                    {"m1": 4.5}], ids=["window1", "sigma1", "m1"])
+def test_window_is_checked_before_the_quadrature(kwargs):
+    # the quadrature of n = 2^20 alone takes tens of MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError):
+            sinc_plan(16, GOOD, GOOD, n=2**20, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
