@@ -24,14 +24,14 @@ from .nnfft import (NnfftGeometry, NnfftPlan, nnfft_plan, nnfft_trafo,
                     rescale_frequencies)
 from .sinc_approx import (CcQuadrature, cc_quadrature, sinc_expsum_eval_grid,
                           sinc_expsum_max_error)
-from .windows import (WindowSpec, omega_eval, omega_hat_eval, phi_eval,
-                      phi_hat_eval, window_kinds)
+from .windows import (WindowSpec, omega_hat_eval, phi_eval, phi_hat_eval,
+                      window_kinds)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ParameterError", "PositivityError",
-    "WindowSpec", "window_kinds", "omega_eval", "omega_hat_eval",
+    "WindowSpec", "window_kinds", "omega_hat_eval",
     "phi_eval", "phi_hat_eval",
     "ndft_direct", "nndft_direct", "sinc_transform_direct",
     "cc_weights_direct",

@@ -4,15 +4,14 @@ Plain vectorized summation in a fixed order: the terms are made in blocks
 of at most 4096 along the ascending coefficient index, each block is
 reduced with numpy's deterministic pairwise sum and the blocks are added
 in order, so repeated runs on one platform give bit-identical results and
-no temporary grows with the input.  With ``compensated=True`` the same
-terms are accumulated with :func:`math.fsum` instead (slower, one target
-at a time).  A NaN or infinite input raises :class:`ParameterError`.
+no temporary grows with the input.  Every input is checked before the
+first term is made: a NaN or infinite coefficient, frequency, node or
+bandwidth, or a bandwidth that is not a real scalar, raises
+:class:`ParameterError`, and so does a sum that overflows.
 
 These are the oracles the fast transforms are tested against; they are
 quadratic in the problem size.
 """
-
-import math
 
 import numpy as np
 
@@ -26,26 +25,31 @@ _TERMS = 4096
 
 
 def _finite(who, values):
-    # a NaN or infinite input reaches the terms and the sums as NaN or inf
+    # a NaN or infinite input, or a sum that overflowed
     if not np.isfinite(values).all():
         raise ParameterError(f"{who}: input and sums must be finite")
     return values
 
 
-def _sum(who, coef, freq, targets, term, compensated):
+def _bandwidth(who, N):
+    if np.ndim(N) or np.iscomplexobj(N):
+        raise ParameterError(f"{who}: N must be a real scalar")
+    return _finite(who, N)
+
+
+def _sum(who, coef, freq, targets, term):
     # out_j = sum_k coef_k t_jk, where term(rows, fb, buf) writes into buf
-    # the t_jk of those targets and of the frequencies (or sources) fb.  A
-    # plain sum runs over blocks of at most _TERMS terms; a compensated one
-    # makes all terms of one target and accumulates them with math.fsum
-    coef = np.ascontiguousarray(coef, dtype=complex)
-    freq = np.ascontiguousarray(freq, dtype=float)
-    targets = np.ascontiguousarray(targets, dtype=float)
+    # the t_jk of those targets and of the frequencies (or sources) fb, in
+    # blocks of at most _TERMS terms
+    coef = _finite(who, np.ascontiguousarray(coef, dtype=complex))
+    freq = _finite(who, np.ascontiguousarray(freq, dtype=float))
+    targets = _finite(who, np.ascontiguousarray(targets, dtype=float))
     if coef.ndim != 1 or targets.ndim != 1 or not (coef.size and targets.size):
         raise ParameterError(f"{who}: need nonempty 1-d coefficients, targets")
     if freq.shape != coef.shape:
         raise ParameterError(f"{who}: need a frequency (source) per coefficient")
-    width = coef.size if compensated else min(coef.size, _TERMS)
-    height = 1 if compensated else max(1, _TERMS // width)
+    width = min(coef.size, _TERMS)
+    height = max(1, _TERMS // width)
     out = np.zeros(targets.size, dtype=complex)
     buf = np.empty(height * width, dtype=complex)
     for lo in range(0, targets.size, height):
@@ -55,11 +59,7 @@ def _sum(who, coef, freq, targets, term, compensated):
             block = buf[:rows.size * cb.size].reshape(rows.size, cb.size)
             term(rows, freq[c0:c0 + width], block)
             block *= cb
-            if compensated:
-                t = _finite(who, block[0])
-                out[lo] = math.fsum(t.real) + 1j * math.fsum(t.imag)
-            else:
-                out[lo:lo + rows.size] += block.sum(axis=1)
+            out[lo:lo + rows.size] += block.sum(axis=1)
     return _finite(who, out)
 
 
@@ -72,7 +72,7 @@ def _exp_terms(scale):
     return term
 
 
-def nndft_direct(f, v, x, N, compensated=False):
+def nndft_direct(f, v, x, N):
     """Exponential sum with nonequispaced frequencies and nodes.
 
     Computes ``out_j = sum_k f_k e^{-2 pi i N v_k x_j}`` by direct
@@ -86,17 +86,14 @@ def nndft_direct(f, v, x, N, compensated=False):
         Frequencies.
     x : real array, shape (M2,)
         Spatial nodes.
-    N : int
-        Bandwidth scale multiplying the phase.
-    compensated : bool, optional
-        Use compensated (fsum) accumulation.
+    N : int or float
+        Real scalar bandwidth multiplying the phase.
     """
-    N = _finite("nndft_direct", N)
-    return _sum("nndft_direct", f, v, x, _exp_terms(-2j * np.pi * N),
-                compensated)
+    N = _bandwidth("nndft_direct", N)
+    return _sum("nndft_direct", f, v, x, _exp_terms(-2j * np.pi * N))
 
 
-def ndft_direct(c, x, compensated=False):
+def ndft_direct(c, x):
     """Trigonometric polynomial ``sum_{k in I_N} c_k e^{2 pi i k x_j}``.
 
     ``N = len(c)`` must be even; the frequency index runs over
@@ -106,17 +103,17 @@ def ndft_direct(c, x, compensated=False):
     if size % 2:
         raise ParameterError("ndft_direct: len(c) must be even")
     return _sum("ndft_direct", c, np.arange(size) - size // 2, x,
-                _exp_terms(2j * np.pi), compensated)
+                _exp_terms(2j * np.pi))
 
 
-def sinc_transform_direct(c, a, b, N, compensated=False):
+def sinc_transform_direct(c, a, b, N):
     """Discrete sinc transform ``sum_k c_k sinc(N pi (b_j - a_k))``, with the
-    unnormalized ``sinc(y) = sin(y)/y``."""
-    N = _finite("sinc_transform_direct", N)
+    unnormalized ``sinc(y) = sin(y)/y`` and a real scalar ``N``."""
+    N = _bandwidth("sinc_transform_direct", N)
 
     def kernel(bb, ab, buf):
         buf[...] = np.sinc(N * (bb[:, None] - ab))
-    return _sum("sinc_transform_direct", c, a, b, kernel, compensated)
+    return _sum("sinc_transform_direct", c, a, b, kernel)
 
 
 def cc_weights_direct(n):

@@ -40,9 +40,9 @@ from .windows import WindowSpec, check_window, phi_eval, phi_hat_eval
 class NnfftGeometry:
     """Grid sizes and derived constants for one NNFFT configuration.
 
-    ``sigma2`` is the effective second oversampling after rounding the
-    fine grid length up to an even integer; the requested value is kept in
-    ``sigma2_nominal``.
+    ``sigma2`` is the effective second oversampling ``N2 / K``: the fine
+    grid length ``sigma2 * K`` rounded up to an even integer (a length
+    within 1e-9 of an integer counts as that integer).
     """
 
     N: int
@@ -55,7 +55,6 @@ class NnfftGeometry:
     N1: int
     N2: int
     a: float
-    sigma2_nominal: float
 
     @classmethod
     def from_parameters(cls, N, M1, M2, sigma1, sigma2, m1, m2):
@@ -94,7 +93,7 @@ class NnfftGeometry:
 
         a = K / N1
         return cls(int(N), int(M1), int(M2), N1 / N, sigma2_eff,
-                   int(m1), int(m2), N1, N2, a, float(sigma2))
+                   int(m1), int(m2), N1, N2, a)
 
 
 class NnfftPlan:

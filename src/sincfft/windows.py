@@ -22,26 +22,32 @@ Three shapes are provided:
     ``I_0(beta sqrt(1 - x^2)) / I_0(beta)`` on the open interval, zero at
     ``|x| >= 1`` (same ``beta`` as the sinh shape); closed-form transform.
 
-:func:`omega_eval` and :func:`phi_eval` fill one output in blocks of a
-fixed number of elements.  A plan tabulates millions of window values at
-once and each shape formula needs several temporaries; per block they
-stay in cache and take constant memory instead of growing with the table.
-Each shape's kernel computes only what that shape needs, elementwise in
-the same order of operations, so the values do not depend on the
-blocking.  Non-finite arguments raise :class:`ParameterError`; huge
-finite ones lie outside the support.  A plan's table, the ``2m`` values
-around each node, depends only on the node's fraction of a grid step:
-:func:`phi_rows` makes it from the fractions, with no table of arguments.
+:func:`cardinal_bspline` evaluates the B-spline at ``-|x|`` by Horner's
+rule on one table of piece coefficients per order, so the tail pieces keep
+full relative accuracy down to the end of the support; :func:`phi_rows`
+evaluates every piece of a B-spline window row at once from that table.
+
+:func:`phi_eval` fills one output in blocks of a fixed number of elements.
+A plan tabulates millions of window values at once and each shape formula
+needs several temporaries; per block they stay in cache and take constant
+memory instead of growing with the table.  Each shape's kernel computes
+only what that shape needs, elementwise in the same order of operations,
+so the values do not depend on the blocking.  Non-finite arguments raise
+:class:`ParameterError`; huge finite ones lie outside the support.  A
+plan's table, the ``2m`` values around each node, depends only on the
+node's fraction of a grid step: :func:`phi_rows` makes it from the
+fractions, with no table of arguments.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import special as _sp
 
 from .errors import ParameterError
-from .special import _bspline_pieces, cardinal_bspline
 
 _KINDS = ("sinh", "bspline", "kaiser-bessel")
 
@@ -110,8 +116,69 @@ class WindowSpec:
         return 2.0 * np.pi * self.m * (1.0 - 1.0 / (2.0 * self.sigma))
 
 
-#: Elements per block of :func:`_eval_blocked`: the block's few temporaries
-#: stay in cache and no temporary grows with the input.
+@functools.lru_cache(maxsize=32)
+def _bspline_pieces(order):
+    # piece j = 0..order//2 of B_order(t - order/2), t in [j, j + 1), in the
+    # local coordinate u = t - j:
+    #   (1/(order-1)!) sum_{k<=j} (-1)^k C(order, k) (u + j - k)^(order-1);
+    # row i holds the coefficient of u^(order-1-i) of every piece, so
+    # Horner's rule walks the rows in order.  Exact rationals, rounded once.
+    deg = order - 1
+    table = np.empty((order, order // 2 + 1))
+    for j in range(order // 2 + 1):
+        terms = [(-1) ** k * math.comb(order, k) for k in range(j + 1)]
+        # terms[k] = (-1)^k C(order, k) (j - k)^q for q = 0, 1, ..., deg
+        for q in range(order):
+            table[q, j] = Fraction(math.comb(deg, q) * sum(terms),
+                                   math.factorial(deg))
+            terms = [c * (j - k) for k, c in enumerate(terms)]
+    table.flags.writeable = False
+    return table
+
+
+def cardinal_bspline(order, x):
+    """Centered cardinal B-spline ``B_order`` evaluated at ``x``.
+
+    ``B_order`` is supported on ``[-order/2, order/2]``, is piecewise
+    polynomial of degree ``order - 1`` on the unit pieces between the
+    breakpoints ``-order/2, ..., order/2`` and normalized to unit integral.
+    It is evaluated at ``-|x|`` (``B_order`` is even) by Horner's rule on
+    the piece containing that point, in the distance ``u >= 0`` from the
+    piece's left, outer breakpoint; the coefficients of the pieces are
+    exact rationals rounded once, tabulated once per order.  The support
+    is half-open, so ``B_order(order/2) = 0`` also for ``order = 1``.
+
+    Parameters
+    ----------
+    order : int
+        Positive integer; the windows use the even orders ``2m``.
+    x : float or array_like
+        Finite argument; a scalar gives a float.
+    """
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ParameterError("cardinal_bspline: order must be a positive integer")
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("cardinal_bspline: argument must be finite")
+    half = order / 2.0
+    coef = _bspline_pieces(int(order))
+    flat = arr.reshape(-1)
+    # distance of -|x| from the left end of the support, raised to 0
+    # outside it before the cast to a piece index
+    t = half - np.abs(flat)
+    np.maximum(t, 0.0, out=t)
+    piece = t.astype(np.intp)
+    t -= piece  # local coordinate u in [0, 1)
+    out = coef[0][piece]
+    for row in coef[1:]:
+        out *= t
+        out += row[piece]
+    out[(flat < -half) | (flat >= half)] = 0.0
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+#: Elements per block of :func:`phi_eval` and :func:`phi_rows`: the block's
+#: few temporaries stay in cache and no temporary grows with the input.
 _BLOCK = 16384
 
 
@@ -175,34 +242,6 @@ def _bspline_kernel(spec):
 
 _KERNELS = {"sinh": _sinh_kernel, "bspline": _bspline_kernel,
             "kaiser-bessel": _kaiser_bessel_kernel}
-
-
-def _eval_blocked(spec, x, width):
-    # omega(x / width) into one output, _BLOCK elements at a time; arguments
-    # are clipped to |x| <= 2 width (outside the support, unchanged inside
-    # it) so that huge finite ones cannot overflow.  Dividing by the width
-    # maps an argument of +-width, however rounded, to exactly +-1.
-    arr = np.asarray(x, dtype=float)
-    src = arr.reshape(-1)
-    out = np.empty(arr.shape)
-    dst = out.reshape(-1)
-    kernel = _KERNELS[spec.kind](spec)
-    tmp = np.empty(min(_BLOCK, src.size))
-    lim = 2.0 * width
-    for start in range(0, src.size, _BLOCK):
-        block = src[start:start + _BLOCK]
-        if not np.isfinite(block).all():
-            raise ParameterError("window argument must be finite")
-        y = dst[start:start + _BLOCK]
-        np.clip(block, -lim, lim, out=y)
-        np.divide(y, width, out=y)
-        kernel(y, tmp[:y.size])
-    return float(dst[0]) if arr.ndim == 0 else out
-
-
-def omega_eval(spec, x):
-    """Evaluate the shape function ``omega`` of ``spec`` at finite ``x``."""
-    return _eval_blocked(spec, x, 1.0)
 
 
 def _bessel_ratio_series(w):
@@ -283,8 +322,28 @@ def omega_hat_eval(spec, v):
 
 
 def phi_eval(spec, t):
-    """Grid window ``phi(t) = omega(t / (m / n_grid))`` at finite ``t``."""
-    return _eval_blocked(spec, t, spec.m / spec.n_grid)
+    """Grid window ``phi(t) = omega(t / (m / n_grid))`` at finite ``t``,
+    filled into one output ``_BLOCK`` elements at a time.  Arguments are
+    clipped to ``|t| <= 2 m / n_grid``, outside the support, so that huge
+    finite ones cannot overflow."""
+    width = spec.m / spec.n_grid
+    arr = np.asarray(t, dtype=float)
+    src = arr.reshape(-1)
+    out = np.empty(arr.shape)
+    dst = out.reshape(-1)
+    kernel = _KERNELS[spec.kind](spec)
+    tmp = np.empty(min(_BLOCK, src.size))
+    lim = 2.0 * width
+    for start in range(0, src.size, _BLOCK):
+        block = src[start:start + _BLOCK]
+        if not np.isfinite(block).all():
+            raise ParameterError("window argument must be finite")
+        y = dst[start:start + _BLOCK]
+        np.clip(block, -lim, lim, out=y)
+        # an argument of +-width, however rounded, maps to exactly +-1
+        np.divide(y, width, out=y)
+        kernel(y, tmp[:y.size])
+    return float(dst[0]) if arr.ndim == 0 else out
 
 
 def phi_rows(spec, t):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,16 +36,6 @@ def test_nndft_input_order_invariance():
     perm = rng.permutation(M1)
     scrambled = nndft_direct(f[perm], v[perm], x, 16)
     assert np.max(np.abs(base - scrambled)) < 1e-13 * np.sum(np.abs(f))
-
-
-def test_nndft_compensated_agrees():
-    rng = np.random.default_rng(5)
-    v = rng.uniform(-0.5, 0.5, 300)
-    x = rng.uniform(-0.5, 0.5, 17)
-    f = rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)
-    fast = nndft_direct(f, v, x, 8)
-    slow = nndft_direct(f, v, x, 8, compensated=True)
-    assert np.max(np.abs(fast - slow)) < 1e-13 * np.sum(np.abs(f))
 
 
 def test_ndft_equispaced_is_fft():
@@ -87,22 +78,35 @@ def test_direct_linearity():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-# the plain sums run in blocks of 4096 terms: one block, several targets
-# per block, and two full blocks plus a remainder along each target
+def _mp_sums(coef, targets, term):
+    # sum_k coef_k term(x_j, k) of the exact binary inputs at 30 digits
+    with mpmath.workdps(30):
+        return np.array([complex(mpmath.fsum(
+            mpmath.mpc(ck.real, ck.imag) * term(mpmath.mpf(xj), k)
+            for k, ck in enumerate(coef))) for xj in targets])
+
+
+# the sums run in blocks of 4096 terms: one block, several targets per
+# block, and two full blocks plus a remainder along each target
 @pytest.mark.parametrize("terms, targets", [(300, 17), (100, 50),
                                             (2 * 4096 + 5, 3)])
-def test_blocked_sums_agree_with_compensated(terms, targets):
+def test_blocked_sums_agree_with_mpmath(terms, targets):
     rng = np.random.default_rng(terms)
     c = rng.uniform(-1, 1, terms) + 1j * rng.uniform(-1, 1, terms)
     a = rng.uniform(-0.5, 0.5, terms)
     x = rng.uniform(-0.5, 0.5, targets)
     even = c[:terms // 2 * 2]
-    for call, coef in ((lambda **kw: nndft_direct(c, a, x, 8, **kw), c),
-                       (lambda **kw: ndft_direct(even, x, **kw), even),
-                       (lambda **kw: sinc_transform_direct(c, a, x, 8, **kw), c)):
-        fast, slow = call(), call(compensated=True)
-        assert fast.shape == (targets,)
-        assert np.max(np.abs(fast - slow)) < 1e-13 * np.sum(np.abs(coef))
+    pi, src = mpmath.pi, [mpmath.mpf(ak) for ak in a]
+    for out, coef, term in (
+            (nndft_direct(c, a, x, 8), c,
+             lambda xj, k: mpmath.expj(-16 * pi * src[k] * xj)),
+            (ndft_direct(even, x), even,
+             lambda xj, k: mpmath.expj(2 * pi * (k - even.size // 2) * xj)),
+            (sinc_transform_direct(c, a, x, 8), c,
+             lambda xj, k: mpmath.sincpi(8 * (xj - src[k])))):
+        assert out.shape == (targets,)
+        ref = _mp_sums(coef, x, term)
+        assert np.max(np.abs(out - ref)) < 1e-13 * np.sum(np.abs(coef))
 
 
 def test_oracle_temporaries_do_not_grow_with_the_input():

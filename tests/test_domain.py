@@ -11,7 +11,7 @@ import pytest
 from sincfft import bounds
 from sincfft.direct import ndft_direct, nndft_direct, sinc_transform_direct
 from sincfft.errors import ParameterError
-from sincfft.fast_sinc import fast_sinc_transform, sinc_plan
+from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
 from sincfft.nfft import nfft_adjoint, nfft_plan, nfft_trafo
 from sincfft.nnfft import (NnfftGeometry, nnfft_plan, nnfft_trafo,
                            rescale_frequencies)
@@ -87,14 +87,26 @@ BAD_PARAMETERS = {
         np.where(GOOD == 0.0, NAN, 1.0), GOOD, GOOD, 16),
     "sinc_transform_direct-inf-N": lambda: sinc_transform_direct(
         np.ones(4), GOOD, GOOD, INF),
+    "sinc_transform_direct-vector-N": lambda: sinc_transform_direct(
+        np.ones(4), GOOD, GOOD, np.array([1.0, 2.0])),
+    "sinc_transform_direct-inf-coefficient": lambda: sinc_transform_direct(
+        np.where(GOOD == 0.0, INF, 1.0), GOOD, GOOD, 16),
+    "sinc_transform_direct-inf-source": lambda: sinc_transform_direct(
+        np.ones(4), np.where(GOOD == 0.0, INF, GOOD), GOOD, 16),
     "nndft_direct-nan-node": lambda: nndft_direct(
         np.ones(4), GOOD, np.where(GOOD == 0.0, NAN, GOOD), 16),
     "nndft_direct-nan-frequency": lambda: nndft_direct(
         np.ones(4), np.where(GOOD == 0.0, NAN, GOOD), GOOD, 16),
+    "nndft_direct-inf-node": lambda: nndft_direct(
+        np.ones(4), GOOD, np.where(GOOD == 0.0, INF, GOOD), 16),
+    "nndft_direct-inf-coefficient": lambda: nndft_direct(
+        np.where(GOOD == 0.0, INF, 1.0), GOOD, GOOD, 16),
+    "nndft_direct-vector-N": lambda: nndft_direct(
+        np.ones(4), GOOD, GOOD, np.array([1.0, 2.0])),
     "ndft_direct-nan-node": lambda: ndft_direct(
         np.ones(4), np.where(GOOD == 0.0, NAN, GOOD)),
-    "ndft_direct-inf-coefficient-compensated": lambda: ndft_direct(
-        np.where(GOOD == 0.0, INF, 1.0), GOOD, compensated=True),
+    "ndft_direct-inf-coefficient": lambda: ndft_direct(
+        np.where(GOOD == 0.0, INF, 1.0), GOOD),
     "bound_cc_sinc-nan-N": lambda: bounds.bound_cc_sinc(NAN, 4),
     "bound_cc_sinc-inf-N": lambda: bounds.bound_cc_sinc(INF, 4),
     "bound_nnfft_sinh-nan-N": lambda: bounds.bound_nnfft_sinh(NAN, 2, 2, 4, 4),
@@ -129,6 +141,18 @@ def test_both_sinc_plan_routes_reject_the_same_windows():
         for nodes in (GRID, GOOD):
             with pytest.raises(ParameterError):
                 sinc_plan(32, nodes, nodes, **kwargs)
+
+
+def test_grid_plan_needs_no_second_stage_geometry():
+    # both stages of the grid plan are NFFTs and never use the second-stage
+    # geometry, so sigma2 * K may overflow; only the inner geometry of the
+    # certificate needs it, and it raises no OverflowError
+    plan = sinc_plan(32, GRID, GRID, sigma2=1e308,
+                     window1="bspline", window2="bspline")
+    assert plan.mode is SincMode.EQUISPACED_BOTH
+    assert np.all(np.isfinite(fast_sinc_transform(plan, np.ones(32))))
+    with pytest.raises(ParameterError):
+        plan.inner_geometry
 
 
 @pytest.mark.parametrize("kwargs", [{"window1": "foo"}, {"sigma1": 1.1},

@@ -35,8 +35,7 @@ def test_geometry_rounds_fine_grid_up_to_even():
     assert geo.N2 == 394
     assert geo.N2 % 2 == 0
     assert geo.sigma2 == pytest.approx(394 / 262, rel=1e-15)
-    assert geo.sigma2_nominal == 1.5
-    assert geo.sigma2 >= geo.sigma2_nominal
+    assert geo.sigma2 >= 1.5
 
 
 def test_geometry_rejects():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sincfft.errors import ParameterError
-from sincfft.special import cardinal_bspline
+from sincfft.windows import cardinal_bspline
 
 
 def test_bspline_known_center_values():

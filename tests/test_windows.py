@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sincfft.errors import ParameterError
-from sincfft.special import cardinal_bspline
-from sincfft.windows import (_BLOCK, WindowSpec, omega_eval, omega_hat_eval,
-                             phi_eval, phi_hat_eval, phi_rows, window_kinds)
+from sincfft.windows import (_BLOCK, WindowSpec, cardinal_bspline,
+                             omega_hat_eval, phi_eval, phi_hat_eval, phi_rows,
+                             window_kinds)
 
 SPECS = {
     "sinh": WindowSpec("sinh", 4, 2.0, 64),
@@ -21,9 +21,15 @@ SPECS = {
 }
 
 
+def _omega(spec, x):
+    # the shape omega(x) is the window phi(x / 2) on a grid of 2m points
+    shape = WindowSpec(spec.kind, spec.m, spec.sigma, 2 * spec.m)
+    return phi_eval(shape, np.asarray(x, dtype=float) / 2)
+
+
 def _quad_transform(spec, v):
     # 2 int_0^1 omega(x) cos(2 pi v x) dx by QUADPACK's cosine-weighted rule
-    val, _ = quad(lambda x: omega_eval(spec, x), 0.0, 1.0, weight="cos",
+    val, _ = quad(lambda x: _omega(spec, x), 0.0, 1.0, weight="cos",
                   wvar=2.0 * np.pi * v, limit=400, epsabs=1e-13, epsrel=1e-13)
     return 2.0 * val
 
@@ -33,13 +39,13 @@ def test_omega_membership(kind):
     """Even, normalized at 0, decreasing on [0,1], zero outside [-1,1]."""
     spec = SPECS[kind]
     x = np.linspace(0.0, 1.0, 501)
-    vals = omega_eval(spec, x)
-    assert omega_eval(spec, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(omega_eval(spec, -x), vals, atol=1e-15)
+    vals = _omega(spec, x)
+    assert _omega(spec, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(_omega(spec, -x), vals, atol=1e-15)
     assert np.all(np.diff(vals) <= 1e-14)
     assert np.all(vals >= 0.0)
-    assert omega_eval(spec, 1.2) == 0.0
-    assert np.all(omega_eval(spec, np.array([-3.0, 1.0 + 1e-9])) == 0.0)
+    assert _omega(spec, 1.2) == 0.0
+    assert np.all(_omega(spec, np.array([-3.0, 1.0 + 1e-9])) == 0.0)
 
 
 @pytest.mark.parametrize("kind", window_kinds())
@@ -59,7 +65,7 @@ def test_omega_hat_matches_quadrature(kind):
     v = np.array([0.0, 0.3, 1.0, 2.7, spec.m / (2.0 * spec.sigma), 2.0 * spec.m])
     closed = omega_hat_eval(spec, v)
     for vi, ci in zip(v, closed):
-        ref, _ = quad(lambda x: 2.0 * omega_eval(spec, np.array([x]))[0]
+        ref, _ = quad(lambda x: 2.0 * _omega(spec, np.array([x]))[0]
                       * np.cos(2.0 * np.pi * vi * x), 0.0, 1.0, limit=400,
                       epsabs=1e-13, epsrel=1e-13)
         assert ci == pytest.approx(ref, abs=2e-9)
@@ -106,7 +112,7 @@ def test_phi_dilations():
     spec = SPECS["sinh"]
     t = np.array([0.0, 0.01, -0.03, 0.06])
     assert np.allclose(phi_eval(spec, t),
-                       omega_eval(spec, t * spec.n_grid / spec.m), atol=0)
+                       _omega(spec, t * spec.n_grid / spec.m), atol=0)
     v = np.array([0.0, 1.0, 5.0, 31.0])
     assert np.allclose(phi_hat_eval(spec, v),
                        (spec.m / spec.n_grid)
@@ -149,7 +155,7 @@ def test_blocks_match_one_element_at_a_time(kind, shape):
     picks += [np.arange(max(0, b - 32), min(n, b + 32))
               for b in range(_BLOCK, n, _BLOCK)]
     picks = np.unique(np.concatenate(picks))
-    for evaluate, arg in ((omega_eval, x), (phi_eval, t)):
+    for evaluate, arg in ((_omega, x), (phi_eval, t)):
         out = evaluate(spec, arg)
         assert out.shape == shape
         ref = [evaluate(spec, a) for a in arg.flat[picks]]
@@ -159,7 +165,7 @@ def test_blocks_match_one_element_at_a_time(kind, shape):
 @pytest.mark.parametrize("kind", window_kinds())
 def test_scalar_argument_gives_float(kind):
     spec = SPECS[kind]
-    for evaluate in (omega_eval, phi_eval):
+    for evaluate in (_omega, phi_eval):
         val = evaluate(spec, 0.0)
         assert type(val) is float and val == pytest.approx(1.0, abs=1e-14)
         assert evaluate(spec, np.float64(0.0)) == val
@@ -180,7 +186,7 @@ def test_phi_eval_allocates_only_its_output():
 @pytest.mark.parametrize("kind", window_kinds())
 def test_nonfinite_argument_is_rejected(kind):
     spec = SPECS[kind]
-    for evaluate in (omega_eval, phi_eval, omega_hat_eval, phi_hat_eval):
+    for evaluate in (_omega, phi_eval, omega_hat_eval, phi_hat_eval):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ParameterError):
                 evaluate(spec, bad)
@@ -196,7 +202,7 @@ def test_huge_finite_argument_is_outside_the_support(kind):
     x = np.array([1e300, -1e300, np.finfo(float).max, -np.finfo(float).max])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for evaluate in (omega_eval, phi_eval):
+        for evaluate in (_omega, phi_eval):
             assert np.all(evaluate(spec, x) == 0.0)
 
 
