@@ -15,10 +15,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special as _sp
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .windows import check_window
 
 #: Decay threshold of the Clenshaw-Curtis sinc surrogate:
@@ -106,8 +105,7 @@ def bound_cc_sinc(N, nu):
 def choose_n(N, epsilon):
     """Smallest power of two ``n = 2^t`` (``t >= 2``) whose surrogate bound
     beats ``epsilon``."""
-    if not isinstance(N, (int, np.integer)) or N <= 0:
-        raise ParameterError("choose_n: N must be a positive integer")
+    integer(N, "choose_n: N")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("choose_n: epsilon must lie in (0, 1)")
     for t in range(2, 64):

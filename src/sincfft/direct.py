@@ -15,7 +15,7 @@ quadratic in the problem size.
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 _CHUNK = 512
 
@@ -32,8 +32,9 @@ def _finite(who, values):
 
 
 def _bandwidth(who, N):
-    if np.ndim(N) or np.iscomplexobj(N):
-        raise ParameterError(f"{who}: N must be a real scalar")
+    if np.ndim(N) or np.iscomplexobj(N) or isinstance(N, (bool, np.bool_)):
+        raise ParameterError(
+            f"{who}: N must be a real scalar, got {type(N).__name__} {N!r}")
     return _finite(who, N)
 
 
@@ -126,8 +127,7 @@ def cc_weights_direct(n):
     sum accurate for large ``n``; the reduced phases index a table of the
     ``2 n`` cosines ``cos(p pi / n)``.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError("cc_weights_direct: n must be an integer >= 2")
+    integer(n, "cc_weights_direct: n", 2)
 
     def halved_ends(idx):
         return np.where((idx == 0) | (idx == n), 0.5, 1.0)

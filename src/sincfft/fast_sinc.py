@@ -9,28 +9,41 @@ double sum into two nonequispaced FFT stages sharing the Chebyshev nodes:
 2. ``alpha_j = w_j g_j``,
 3. ``h_l = sum_j alpha_j e^{+pi i N z_j b_l}`` (sum over Chebyshev nodes).
 
-Step 2 costs no pass of its own: the weights are folded into the gather
-rows of stage 1 at plan time.
-
 A nonequispaced stage runs as an NNFFT at the rescaled bandwidth ``N*``
 of :func:`sincfft.nnfft.rescale_frequencies` (the smallest admissible
 ``N* >= N + ceil(2 m1/sigma1)`` with a fast FFT length).  Either stage
 collapses to a classical NFFT / adjoint NFFT when the corresponding node
 set is the even grid; the plan detects this and picks the cheapest route.
-Total cost ``O((L1 + L2 + N log N) log(1/eps))`` at target accuracy ``eps``.
+
+Step 2 is one banded matrix ``W``, stage 1's gather onto the Chebyshev
+nodes times the weights times stage 3's spread from them, with about
+``2 (m1 + m2) + 1`` entries per row for any ``n``.  An apply costs
+``O((L1 + L2 + N log N) log(1/eps))`` at target accuracy ``eps``.
 """
 
 import enum
+import weakref
 
 import numpy as np
+import scipy.sparse
 
 from . import bounds as _bounds
-from .errors import ParameterError
-from .nfft import (_DOMAIN_TOL, NfftPlan, as_coefficients, as_nodes,
-                   grid_length, nfft_adjoint, nfft_plan, nfft_trafo)
-from .nnfft import NnfftGeometry, fast_bandwidth, nnfft_plan, nnfft_trafo
+from .errors import ParameterError, integer
+from .fft_core import sparse_apply
+from .nfft import (_DOMAIN_TOL, _crop, _fill, _plan, as_coefficients,
+                   as_nodes, grid_length, nfft_trafo, stencil_matrix,
+                   stencil_table)
+# the stage plans and transforms stay importable here for tracers
+from .nfft import nfft_adjoint, nfft_plan  # noqa: F401
+from .nnfft import (NnfftGeometry, NnfftPlan, _nnfft_plan, _stage2_rows,
+                    fast_bandwidth, nnfft_plan, nnfft_trafo)  # noqa: F401
 from .sinc_approx import cc_quadrature
-from .windows import check_window
+from .windows import WindowSpec, check_window
+
+#: The W of every live plan, by its parameters
+_W_LIVE = weakref.WeakValueDictionary()
+#: A W is built in blocks of an eighth of the nodes, at least this many
+_W_NODES = 1024
 
 
 class SincMode(enum.Enum):
@@ -43,17 +56,19 @@ class SincMode(enum.Enum):
 
 
 class SincPlan:
-    """Precomputed stages of the fast sinc transform for one node pair.
+    """Precomputed steps of the fast sinc transform for one node pair.
 
-    Stage 1 (``_plan1``) is an NNFFT, or an NFFT when the sources are on
-    the grid; row ``j`` of its gather also carries the Clenshaw-Curtis
-    weight ``w_j``, so it returns ``alpha`` directly (in an NNFFT that row
-    already holds ``1/(N1 phi_hat_1(N z_j / 2))``).  Stage 3 (``_plan3``)
-    is an NNFFT, or an adjoint NFFT when the targets are on the grid, with
-    its own scaling only.  The plan keeps no copy of the nodes.
+    ``mode`` (a :class:`SincMode`) tells which stages run on the grid.  An
+    apply runs a front, the NNFFT spread at the sources with its stage-2
+    fill and FFT, or the NFFT fill and FFT on a source grid; ``W``, the
+    read-only CSR matrix of step 2 from that FFT grid onto the back's grid,
+    shared by the live plans with equal parameters; and a back, the
+    stage-2 fill, FFT and gather at the targets, or the adjoint NFFT's FFT
+    and crop on a target grid.  No copy of the nodes, Chebyshev points or
+    weights stays.
     """
 
-    def __init__(self, N, n, L1, L2, params, n_star, plan1, plan3):
+    def __init__(self, N, n, L1, L2, params, n_star, mode, front, W, back):
         self.N = N
         self.n = n
         self.L1 = L1
@@ -61,14 +76,8 @@ class SincPlan:
         (self.m1, self.m2, self.sigma1, self.sigma2,
          self.window1, self.window2) = params
         self.n_star = n_star
-        self._plan1 = plan1
-        self._plan3 = plan3
-
-    @property
-    def mode(self):
-        """The :class:`SincMode`: which stages run as an NFFT on a grid."""
-        return _MODES[isinstance(self._plan1, NfftPlan),
-                      isinstance(self._plan3, NfftPlan)]
+        self.mode = mode
+        self._front, self._W, self._back = front, W, back
 
     @property
     def inner_geometry(self):
@@ -129,11 +138,6 @@ def _on_grid(nodes, L, sigma1, m1):
     return bool(np.max(np.abs(nodes - grid)) <= _DOMAIN_TOL)
 
 
-def _wrap_half(t):
-    # map to the half-open period [-1/2, 1/2)
-    return np.mod(t + 0.5, 1.0) - 0.5
-
-
 def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
               sigma1=2.0, sigma2=2.0, window1="sinh", window2="sinh"):
     """Plan a fast sinc transform of bandwidth ``N``.
@@ -163,9 +167,7 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
         ``sigma2`` before even-grid rounding), whichever route each stage
         takes, before the quadrature or any table is made.
     """
-    if not isinstance(N, (int, np.integer)) or N <= 0:
-        raise ParameterError("sinc_plan: N must be a positive integer")
-    N = int(N)
+    N = integer(N, "sinc_plan: N")
     a = as_nodes(a, "sinc_plan: a")
     b = as_nodes(b, "sinc_plan: b")
 
@@ -173,45 +175,83 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
         raise ParameterError("sinc_plan: pass either n or epsilon, not both")
     if n is None:
         n = 4 * N if epsilon is None else _bounds.choose_n(N, float(epsilon))
+    n = integer(n, "sinc_plan: n", 2)
     sigma1, sigma2 = float(sigma1), float(sigma2)
     check_window(window1, m1, sigma1, "1")
     check_window(window2, m2, sigma2, "2")
     n_star = fast_bandwidth(N, sigma1, m1)
-    quad = cc_quadrature(n)
-    z = quad.points
-
-    if _on_grid(a, a.size, sigma1, m1):
-        t = _wrap_half(-(N / (2.0 * a.size)) * z)
-        plan1 = nfft_plan(a.size, t, sigma=sigma1, m=m1, window=window1)
-        gather1 = plan1
-    else:
-        plan1 = nnfft_plan(n_star, (a * N) / n_star, 0.5 * z,
-                           sigma1=sigma1, sigma2=sigma2, m1=m1, m2=m2,
-                           window1=window1, window2=window2)
-        gather1 = plan1.stage2
-    # alpha_j = w_j g_j: the weight of z_j rides in row j of stage 1's gather
-    gather1.spread_val *= quad.weights[:, None]
-
-    if _on_grid(b, N, sigma1, m1):
-        plan3 = nfft_plan(N, -0.5 * z, sigma=sigma1, m=m1, window=window1)
-    else:
-        plan3 = nnfft_plan(n_star, (z * (-0.5 * N)) / n_star, b,
-                           sigma1=sigma1, sigma2=sigma2, m1=m1, m2=m2,
-                           window1=window1, window2=window2)
-
+    grid_L1 = a.size if _on_grid(a, a.size, sigma1, m1) else None
+    grid_b = _on_grid(b, N, sigma1, m1)
+    # W first, so that its build peaks before the node tables exist
+    key = (N, n, m1, m2, sigma1, sigma2, window1, window2, grid_L1, grid_b)
+    W = _W_LIVE.get(key)
+    if W is None:
+        W = _W_LIVE[key] = _chebyshev_operator(*key)
+    none = np.empty(0)
+    if grid_L1 is None or not grid_b:
+        # the NNFFT from the sources to the targets, from or to no nodes
+        # where they are on their grid
+        geo = NnfftGeometry.from_parameters(n_star, a.size, b.size, sigma1,
+                                            sigma2, m1, m2)
+        nn = _nnfft_plan(geo, none if grid_L1 else (a * N) / n_star,
+                         none if grid_b else b, window1, window2)
+    front = _plan(grid_L1, none, sigma1, m1, window1) if grid_L1 else nn
+    back = _plan(N, none, sigma1, m1, window1) if grid_b else nn.stage2
     params = (m1, m2, sigma1, sigma2, window1, window2)
-    return SincPlan(N, quad.n, a.size, b.size, params, n_star, plan1, plan3)
+    return SincPlan(N, n, a.size, b.size, params, n_star,
+                    _MODES[grid_L1 is not None, grid_b], front, W, back)
+
+
+def _chebyshev_operator(N, n, m1, m2, sigma1, sigma2, window1, window2,
+                        grid_L1, grid_b):
+    # W = S3^T diag(s) G1 (rows j: stage 1's gather at z_j, with weight s_j,
+    # and stage 3's spread from z_j, onto rows floor(p_j) + 1 - m ..
+    # floor(p_j) + m, ascending in j), made in blocks of rows, each from
+    # the nodes whose S3 rows reach it
+    quad = cc_quadrature(n)
+    z, s = quad.points, quad.weights
+    if grid_L1 is None or not grid_b:
+        geo = NnfftGeometry.from_parameters(fast_bandwidth(N, sigma1, m1), 1,
+                                            1, sigma1, sigma2, m1, m2)
+        w1 = WindowSpec(window1, m1, geo.sigma1, geo.N1)
+    if grid_L1:  # the NFFT of degree L1 at -N z / (2 L1), wrapped
+        spec1 = WindowSpec(window1, m1, sigma1, grid_length(grid_L1, sigma1, m1))
+        t = np.mod(-(N / (2.0 * grid_L1)) * z + 0.5, 1.0) - 0.5
+    else:  # the stage-2 NFFT of the NNFFT at z / 2
+        spec1 = WindowSpec(window2, m2, geo.sigma2, geo.N2)
+        t, factor = _stage2_rows(geo, w1, 0.5 * z)
+        s = s * factor
+    if grid_b:  # the adjoint NFFT of degree N at -z / 2
+        spec3 = WindowSpec(window1, m1, sigma1, grid_length(N, sigma1, m1))
+        rows, shift, u = spec3.n_grid, None, spec3.n_grid * (-0.5 * z)
+    else:  # the NNFFT spread at -N z / (2 N*), moved onto 0 .. K-1
+        spec3, rows = w1, geo.N1 + 2 * m1
+        shift, u = rows // 2, geo.N1 * ((z * (-0.5 * N)) / geo.N)
+    p, m = u + (shift or 0), spec3.m
+    step = max(_W_NODES, (n + 1) // 8)
+    edges = np.unique(np.r_[0, np.mod(np.floor(p[::step]), rows), rows])
+    blocks = []
+    for r0, r1 in zip(edges[:-1].astype(int), edges[1:].astype(int)):
+        lo = np.searchsorted(p, [r0 - m - rows, r1 + m - rows, r0 - m, r1 + m])
+        j = np.r_[lo[0]:min(lo[1], lo[2]), lo[2]:lo[3]]  # each node once
+        idx, val = stencil_table(spec1, spec1.n_grid * t[j])
+        val *= s[j, None]
+        s3 = stencil_matrix(*stencil_table(spec3, u[j], shift), rows).T.tocsr()
+        blocks.append((s3 @ stencil_matrix(idx, val, spec1.n_grid))[r0:r1])
+    W = scipy.sparse.vstack(blocks, format="csr")
+    for arr in (W.data, W.indices, W.indptr):
+        arr.flags.writeable = False
+    return W
 
 
 def fast_sinc_transform(plan, c):
     """Apply the planned fast sinc transform to ``L1`` finite coefficients
     ``c``; returns ``L2`` complex values."""
     c = as_coefficients(c, plan.L1, "fast_sinc_transform")
-    # each stage through its public name here, which a tracer can rebind
-    if isinstance(plan._plan1, NfftPlan):
-        alpha = nfft_trafo(plan._plan1, c)
-    else:
-        alpha = nnfft_trafo(plan._plan1, c)
-    if isinstance(plan._plan3, NfftPlan):
-        return nfft_adjoint(plan._plan3, alpha)
-    return nnfft_trafo(plan._plan3, alpha)
+    front = plan._front
+    if isinstance(front, NnfftPlan):
+        c, front = sparse_apply(front.spread, c), front.stage2
+    grid = sparse_apply(plan._W, _fill(front, c))
+    if plan.mode in (SincMode.EQUISPACED_TARGETS, SincMode.EQUISPACED_BOTH):
+        return _crop(plan._back, grid)
+    return nfft_trafo(plan._back, grid)  # by the name a tracer rebinds

@@ -171,6 +171,11 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     Nodes must satisfy ``|x| <= 1/2`` (a 1e-12 overhang is clamped); the
     transform treats them 1-periodically.
     """
+    return _plan(N, as_nodes(nodes, "nfft_plan: nodes"), sigma, m, window)
+
+
+def _plan(N, x, sigma, m, window):
+    # nfft_plan at checked x; at none (x empty) the tables _fill/_crop read
     if not isinstance(N, (int, np.integer)) or N <= 0 or N % 2:
         raise ParameterError("nfft_plan: N must be a positive even integer")
     n_over = grid_length(N, sigma, m)
@@ -178,7 +183,6 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
         raise ParameterError(
             f"nfft_plan: sigma*N must be an even integer >= 4m, got "
             f"sigma*N = {sigma * N} with m = {m}")
-    x = as_nodes(nodes, "nfft_plan: nodes")
 
     spec = WindowSpec(window, m, float(sigma), n_over)
     # phi_hat on k = -N/2 .. N/2 (the adjoint reads the tables backwards, at
@@ -209,9 +213,8 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
 # Q >= N the frequencies k in I_N land on distinct rows k mod Q: k >= 0 on
 # rows 0 .. N/2-1, k < 0 on rows Q-N/2 .. Q-1.
 
-def nfft_trafo(plan, c):
-    """Evaluate ``sum_{k in I_N} c_k e^{2 pi i k x_j}`` for all plan nodes."""
-    c = as_coefficients(c, plan.degree, "nfft_trafo")
+def _fill(plan, c):
+    # nfft_trafo before its gather, on checked c: the transformed grid
     h, P = plan.degree // 2, plan.blocks
     Q = plan.n_over // P
     buf = np.empty((Q, P), dtype=complex)
@@ -219,19 +222,19 @@ def nfft_trafo(plan, c):
     for s, d in enumerate((plan.deconv, *plan.twiddle)):
         np.multiply(c[h:], d[h:2 * h], out=buf[:h, s])
         np.multiply(c[:h], d[:h], out=buf[Q - h:, s])
-    grid = fft_core.fft(buf.ravel(), "inverse", blocks=P)
-    return fft_core.sparse_apply(plan.gather, grid)
+    return fft_core.fft(buf.ravel(), "inverse", blocks=P)
 
 
-def nfft_adjoint(plan, y):
-    """Adjoint transform: ``h_k = sum_j y_j e^{-2 pi i k x_j}`` on ``I_N``.
+def nfft_trafo(plan, c):
+    """Evaluate ``sum_{k in I_N} c_k e^{2 pi i k x_j}`` for all plan nodes."""
+    c = as_coefficients(c, plan.degree, "nfft_trafo")
+    return fft_core.sparse_apply(plan.gather, _fill(plan, c))
 
-    The conjugate transpose of :func:`nfft_trafo` stage by stage.
-    """
-    y = as_coefficients(y, plan.node_count, "nfft_adjoint")
+
+def _crop(plan, grid):
+    # nfft_adjoint after its spread, on a finite complex grid it overwrites
     h, P = plan.degree // 2, plan.blocks
     Q = plan.n_over // P
-    grid = fft_core.sparse_apply(plan.gather.T, y)
     F = fft_core.fft(grid, "forward", blocks=P).reshape(Q, P)
     out = np.zeros(2 * h, dtype=complex)
     for s, d in enumerate((plan.deconv, *plan.twiddle)):
@@ -243,3 +246,12 @@ def nfft_adjoint(plan, y):
         out[h:] += F[:h, s]
         out[:h] += F[Q - h:, s]
     return out
+
+
+def nfft_adjoint(plan, y):
+    """Adjoint transform: ``h_k = sum_j y_j e^{-2 pi i k x_j}`` on ``I_N``.
+
+    The conjugate transpose of :func:`nfft_trafo` stage by stage.
+    """
+    y = as_coefficients(y, plan.node_count, "nfft_adjoint")
+    return _crop(plan, fft_core.sparse_apply(plan.gather.T, y))

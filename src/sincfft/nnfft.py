@@ -23,15 +23,15 @@ smallest admissible ``N* >= N + ceil(2 m1/sigma1)`` with a fast FFT length.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
 
 from . import fft_core
-from .errors import ParameterError, PositivityError
-from .nfft import (_DOMAIN_TOL, as_coefficients, as_nodes, grid_length,
-                   nfft_plan, nfft_trafo, stencil_matrix, stencil_table)
+from .errors import ParameterError, PositivityError, integer
+from .nfft import (_DOMAIN_TOL, _plan, as_coefficients, as_nodes,
+                   grid_length, nfft_trafo, stencil_matrix, stencil_table)
 # phi_eval stays importable here for tracers that rebind it per module
 from .windows import WindowSpec, check_window, phi_eval, phi_hat_eval
 
@@ -58,11 +58,8 @@ class NnfftGeometry:
 
     @classmethod
     def from_parameters(cls, N, M1, M2, sigma1, sigma2, m1, m2):
-        if not isinstance(N, (int, np.integer)) or N <= 0:
-            raise ParameterError("N must be a positive integer")
-        for name, val in (("M1", M1), ("M2", M2)):
-            if not isinstance(val, (int, np.integer)) or val <= 0:
-                raise ParameterError(f"{name} must be a positive integer")
+        for name, val in (("N", N), ("M1", M1), ("M2", M2)):
+            integer(val, name)
         check_window(None, m1, sigma1, "1")
         check_window(None, m2, sigma2, "2")
 
@@ -144,8 +141,7 @@ def rescale_frequencies(N, v, sigma1, m1):
     every product ``N_star * v_star_k`` within one rounding of ``N * v_k``
     and guarantees ``|v_star| <= 1/(2 a_star)`` for the enlarged bandwidth.
     """
-    if not isinstance(N, (int, np.integer)) or N <= 0:
-        raise ParameterError("rescale_frequencies: N must be a positive integer")
+    integer(N, "rescale_frequencies: N")
     v = as_nodes(v, "rescale_frequencies: v")
     n_star = fast_bandwidth(N, sigma1, m1)
     return n_star, (v * N) / n_star
@@ -176,7 +172,13 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     x = as_nodes(x, "nnfft_plan: x")
     geo = NnfftGeometry.from_parameters(N, v.size, x.size,
                                         float(sigma1), float(sigma2), m1, m2)
+    return _nnfft_plan(geo, v, x, window1, window2)
 
+
+def _nnfft_plan(geo, v, x, window1, window2):
+    # nnfft_plan on geo at checked v and x; an empty v or x leaves out the
+    # spread or the gather, for transforms that plan one half of an NNFFT
+    geo = replace(geo, M1=v.size, M2=x.size)
     vmax = 0.5 / geo.a
     if not np.all(np.abs(v) <= vmax + _DOMAIN_TOL):
         raise ParameterError(
@@ -185,25 +187,27 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     v = np.clip(v, -vmax, vmax)
 
     w1 = WindowSpec(window1, geo.m1, geo.sigma1, geo.N1)
-    hat1 = np.asarray(phi_hat_eval(w1, geo.N * x), dtype=float)
+    # spreading table: phi_1 on the 2*m1 coarse-grid points around N1 v_k,
+    # moved by K/2 onto 0..K-1, which |v_k| <= 1/(2a) keeps them inside
+    spos, sval = stencil_table(w1, geo.N1 * v, shift=(geo.N1 + 2 * geo.m1) // 2)
+
+    # second stage: the NFFT of degree K at _stage2_rows, whose factors
+    # ride in the rows of its gather
+    t, factor = _stage2_rows(geo, w1, x)
+    stage2 = _plan(geo.N1 + 2 * geo.m1, t, geo.sigma2, geo.m2, window2)
+    stage2.spread_val *= factor[:, None]
+    return NnfftPlan(geo, w1, spos, sval, stage2)
+
+
+def _stage2_rows(geo, window1, x):
+    # the stage-2 nodes -x_j N/N1 (-x_j/sigma1 with the exact grid ratio)
+    # and the factors 1/(N1 phi_hat_1(N x_j)) of their gather rows
+    hat1 = np.asarray(phi_hat_eval(window1, geo.N * x), dtype=float)
     if np.any(hat1 <= 0.0):
         raise PositivityError(
             "nnfft_plan: phi_hat_1(N x_j) must be strictly positive at every node")
-    K = geo.N1 + 2 * geo.m1
-
-    # spreading table: phi_1 on the 2*m1 coarse-grid points around N1 v_k,
-    # moved by K/2 onto 0..K-1, which |v_k| <= 1/(2a) keeps them inside
-    spos, sval = stencil_table(w1, geo.N1 * v, shift=K // 2)
-
-    # second stage: the NFFT of degree K at -x_j/sigma1 (with the exact
-    # grid ratio N/N1)
-    stage2 = nfft_plan(K, x * (-geo.N / geo.N1), sigma=geo.sigma2, m=geo.m2,
-                       window=window2)
-    # fold 1/(N1 phi_hat_1(N x_j)) into row j of the gather
     hat1 *= geo.N1
-    stage2.spread_val *= np.reciprocal(hat1, out=hat1)[:, None]
-
-    return NnfftPlan(geo, w1, spos, sval, stage2)
+    return x * (-geo.N / geo.N1), np.reciprocal(hat1, out=hat1)
 
 
 def nnfft_trafo(plan, f):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fft_core
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .nfft import nfft_adjoint, nfft_plan
 
 
@@ -65,11 +65,10 @@ def _dct_load(n):
 def cc_quadrature(n):
     """Build a :class:`CcQuadrature`; the weights are one DCT-I of length
     ``n + 1``, for any integer ``n >= 2``."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError("cc_quadrature: n must be an integer >= 2")
+    n = integer(n, "cc_quadrature: n", 2)
     w = (_eps_boundary(n, np.arange(n + 1)) / np.sqrt(2.0 * n)
          * fft_core.dct1(_dct_load(n)))
-    return CcQuadrature(int(n), _chebyshev_points(n), w)
+    return CcQuadrature(n, _chebyshev_points(n), w)
 
 
 def sinc_expsum_eval_grid(quad, N, R):

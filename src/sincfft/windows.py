@@ -47,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special as _sp
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 _KINDS = ("sinh", "bspline", "kaiser-bessel")
 
@@ -68,8 +68,7 @@ def check_window(kind, m, sigma, stage=""):
     if kind is not None and kind not in _KINDS:
         raise ParameterError(
             f"unknown window{stage} kind {kind!r}; expected one of {_KINDS}")
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ParameterError(f"m{stage} must be an integer >= 2, got {m}")
+    integer(m, f"m{stage}", 2)
     if not 1.0 < sigma < math.inf:
         raise ParameterError(f"sigma{stage} must be finite and > 1, got {sigma}")
     if kind == "sinh" and not 1.25 - _SIGMA_TOL <= sigma <= 2.0 + _SIGMA_TOL:
@@ -155,8 +154,7 @@ def cardinal_bspline(order, x):
     x : float or array_like
         Finite argument; a scalar gives a float.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ParameterError("cardinal_bspline: order must be a positive integer")
+    integer(order, "cardinal_bspline: order")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("cardinal_bspline: argument must be finite")

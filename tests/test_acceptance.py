@@ -12,6 +12,7 @@ import csv
 import time
 
 import numpy as np
+import pytest
 
 from sincfft import bounds
 from sincfft.cli import main as cli_main
@@ -225,6 +226,7 @@ def test_c10_fast_path_beats_direct():
             f"(ratio 1/{t_direct / t_fast:.0f}), agreement {agree:.1e}, {dt:.1f}s")
 
 
+@pytest.mark.slow
 def test_c11_figure_scale_reproduction(tmp_path):
     out = tmp_path / "paper.csv"
     rc = cli_main(["nnfft-error", "--paper", "--seed", "1", "--out", str(out)])

@@ -134,6 +134,25 @@ def test_bad_parameter_is_rejected(case):
         BAD_PARAMETERS[case]()
 
 
+# True == 1 as an int: a bool bandwidth would run as N = 1
+BOOL_BANDWIDTHS = {
+    "sinc_plan": lambda: sinc_plan(True, GOOD, GOOD),
+    "nndft_direct": lambda: nndft_direct(np.ones(4), GOOD, GOOD, True),
+    "nndft_direct-numpy": lambda: nndft_direct(np.ones(4), GOOD, GOOD, np.True_),
+    "sinc_transform_direct": lambda: sinc_transform_direct(np.ones(4), GOOD, GOOD, True),
+    "NnfftGeometry": lambda: NnfftGeometry.from_parameters(True, 4, 4, 2.0, 2.0, 4, 4),
+    "NnfftGeometry-M1": lambda: NnfftGeometry.from_parameters(128, True, 4, 2.0, 2.0, 4, 4),
+    "rescale_frequencies": lambda: rescale_frequencies(True, GOOD, 2.0, 4),
+    "choose_n": lambda: bounds.choose_n(True, 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_BANDWIDTHS))
+def test_bool_bandwidth_is_rejected_by_its_type(case):
+    with pytest.raises(ParameterError, match="got bool"):
+        BOOL_BANDWIDTHS[case]()
+
+
 def test_both_sinc_plan_routes_reject_the_same_windows():
     # window2 serves no stage of the grid plan, yet both plans check it
     for kwargs in ({"sigma2": 1.1}, {"sigma2": 3.0}, {"sigma2": INF},

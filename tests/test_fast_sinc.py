@@ -1,9 +1,12 @@
 """Fast sinc transform: mode detection, accuracy certificates, special cases."""
 
+import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +14,9 @@ from sincfft import bounds
 from sincfft.direct import sinc_transform_direct
 from sincfft.errors import ParameterError
 from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
-from sincfft.nnfft import NnfftPlan
+from sincfft.nfft import nfft_plan
+from sincfft.nnfft import NnfftPlan, nnfft_plan
+from sincfft.sinc_approx import cc_quadrature
 
 
 def _grid(L):
@@ -220,14 +225,19 @@ def test_grid_stages_need_no_nnfft_geometry():
 
 
 def _apply_state_bytes(plan):
-    # what an apply reads: the stage tables, the CSR row pointers, deconv
-    # and twiddle
-    total = 0
-    for stage in (plan._plan1, plan._plan3):
-        if isinstance(stage, NnfftPlan):
-            total += (stage.spread_idx.nbytes + stage.spread_val.nbytes
-                      + stage.spread.indptr.nbytes)
-            stage = stage.stage2
+    # what an apply reads: W, the front's and the back's stencil tables and
+    # CSR row pointers, deconv and twiddle
+    W = plan._W
+    total = W.data.nbytes + W.indices.nbytes + W.indptr.nbytes
+    stages = []
+    for step in (plan._front, plan._back):
+        if isinstance(step, NnfftPlan):
+            total += (step.spread_idx.nbytes + step.spread_val.nbytes
+                      + step.spread.indptr.nbytes)
+            step = step.stage2
+        if all(step is not other for other in stages):  # a shared stage once
+            stages.append(step)
+    for stage in stages:
         total += (stage.spread_idx.nbytes + stage.spread_val.nbytes
                   + stage.gather.indptr.nbytes + stage.deconv.nbytes
                   + stage.twiddle.nbytes)
@@ -235,10 +245,13 @@ def _apply_state_bytes(plan):
 
 
 def test_plan_holds_little_beyond_its_apply_state():
-    # no copy of the nodes, the Chebyshev points or the weights stays
+    # no copy of the nodes, the Chebyshev points or the weights stays; W is
+    # built inside the measurement, so a shared one cannot pass the test
     rng = np.random.default_rng(14)
     a, b = _random_nodes(rng, 256), _random_nodes(rng, 2048)
-    sinc_plan(512, a, b)  # first-call imports and caches are not the plan's
+    # first-call imports and caches are not the plan's
+    first_w = weakref.ref(sinc_plan(512, a, b)._W)
+    assert first_w() is None
     tracemalloc.start()
     try:
         plan = sinc_plan(512, a, b)
@@ -246,4 +259,121 @@ def test_plan_holds_little_beyond_its_apply_state():
     finally:
         tracemalloc.stop()
     assert plan.mode is SincMode.GENERAL
+    assert plan._W.nnz > 0 and plan._back is plan._front.stage2
     assert held - _apply_state_bytes(plan) <= 32 * 1024
+
+
+_GRID_SOURCES = (SincMode.EQUISPACED_SOURCES, SincMode.EQUISPACED_BOTH)
+_GRID_TARGETS = (SincMode.EQUISPACED_TARGETS, SincMode.EQUISPACED_BOTH)
+
+
+def _layout(mode, rng, N, L1, L2):
+    a = _grid(L1) if mode in _GRID_SOURCES else _random_nodes(rng, L1)
+    b = _grid(N) if mode in _GRID_TARGETS else _random_nodes(rng, L2)
+    return a, b
+
+
+def test_plans_with_equal_parameters_share_one_w():
+    rng = np.random.default_rng(15)
+    first = sinc_plan(64, _random_nodes(rng, 20), _random_nodes(rng, 30))
+    second = sinc_plan(64, _random_nodes(rng, 50), _random_nodes(rng, 10))
+    assert second._W is first._W
+    assert sinc_plan(np.int64(64), _random_nodes(rng, 5), _random_nodes(rng, 7),
+                     n=256, m1=np.int64(6), sigma1=2)._W is first._W
+
+
+@pytest.mark.parametrize("change", [
+    {"window1": "kaiser-bessel"}, {"window2": "bspline"}, {"m1": 5}, {"m2": 7},
+    {"sigma1": 1.5}, {"sigma2": 1.5}, {"n": 512},
+    {"a": _grid(32)}, {"a": _grid(64)}, {"b": _grid(64)}],
+    ids=["window1", "window2", "m1", "m2", "sigma1", "sigma2", "n",
+         "sources-grid-L1-32", "sources-grid-L1-64", "targets-grid"])
+def test_every_key_field_gives_its_own_w(change):
+    rng = np.random.default_rng(16)
+    base = {"a": _random_nodes(rng, 32), "b": _random_nodes(rng, 40)}
+    kwargs = {k: v for k, v in change.items() if k not in ("a", "b")}
+    plan = sinc_plan(64, base["a"], base["b"])
+    other = sinc_plan(64, change.get("a", base["a"]), change.get("b", base["b"]),
+                      **kwargs)
+    assert other._W is not plan._W
+    assert other._W.shape != plan._W.shape or (other._W != plan._W).nnz > 0
+    if "a" in change:  # on the source grid L1 is part of the key, the targets not
+        L1 = change["a"].size
+        assert sinc_plan(64, _grid(L1), _random_nodes(rng, 9))._W is other._W
+        assert sinc_plan(64, _grid(96 - L1), base["b"])._W.shape != other._W.shape
+    assert sinc_plan(64, _random_nodes(rng, 8), _random_nodes(rng, 8))._W is plan._W
+
+
+def test_w_is_read_only_and_lives_only_while_a_plan_holds_it():
+    rng = np.random.default_rng(17)
+    plan = sinc_plan(32, _random_nodes(rng, 8), _random_nodes(rng, 8))
+    W = plan._W
+    for arr in (W.data, W.indices, W.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    kept = weakref.ref(W)
+    del plan, W
+    assert kept() is None  # no cache entry outlives the plans sharing it
+    params = inspect.signature(sinc_plan).parameters
+    assert not any("cache" in name for name in params)
+
+
+@pytest.mark.parametrize("window", ["sinh", "bspline", "kaiser-bessel"])
+@pytest.mark.parametrize("mode", list(SincMode), ids=lambda m: m.value)
+def test_w_is_the_product_of_the_stage_plans(mode, window):
+    # W against S3 diag(w) G1 of the public stage plans on the Chebyshev
+    # nodes: stage 1's gather (its rows carry 1/(N1 phi_hat_1) in an NNFFT),
+    # the CC weights, then stage 3's spread (an adjoint NFFT's transposed
+    # gather on the target grid)
+    rng = np.random.default_rng(18)
+    N, L1 = 64, 48
+    a, b = _layout(mode, rng, N, L1, 40)
+    kw = {"sigma1": 2.0, "sigma2": 2.0, "m1": 5, "m2": 6,
+          "window1": window, "window2": window}
+    plan = sinc_plan(N, a, b, **kw)
+    assert plan.mode is mode
+    quad = cc_quadrature(plan.n)
+    z, n_star = quad.points, plan.n_star
+    nn = {k: v for k, v in kw.items()}
+    if mode in _GRID_SOURCES:
+        t = np.mod(-(N / (2.0 * L1)) * z + 0.5, 1.0) - 0.5
+        g1 = nfft_plan(L1, t, sigma=2.0, m=5, window=window).gather
+    else:
+        g1 = nnfft_plan(n_star, (a * N) / n_star, 0.5 * z, **nn).stage2.gather
+    if mode in _GRID_TARGETS:
+        s3 = nfft_plan(N, -0.5 * z, sigma=2.0, m=5, window=window).gather.T
+    else:
+        s3 = nnfft_plan(n_star, (z * (-0.5 * N)) / n_star, b, **nn).spread
+    ref = (s3 @ scipy.sparse.diags(quad.weights) @ g1).toarray()
+    W = plan._W.toarray()
+    assert W.shape == ref.shape
+    assert np.max(np.abs(W - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", list(SincMode), ids=lambda m: m.value)
+def test_w_does_not_grow_with_n(mode):
+    # W is banded in every mode: n = 8N adds at most 5% entries to n = 4N,
+    # and its shape, so the apply, does not depend on n
+    rng = np.random.default_rng(19)
+    a, b = _layout(mode, rng, 256, 128, 100)
+    four, eight = (sinc_plan(256, a, b, n=nu * 256)._W for nu in (4, 8))
+    assert four.shape == eight.shape
+    assert abs(eight.nnz - four.nnz) <= 0.05 * four.nnz
+    assert four.nnz <= four.shape[0] * (2 * (6 + 6) + 1)
+
+
+@pytest.mark.parametrize("mode", list(SincMode), ids=lambda m: m.value)
+def test_worst_case_error_below_certificate(mode):
+    # the l1 -> l_inf error of the plan is the largest entry of
+    # fast(I) - direct(I); random coefficients sit 1e4-1e6 below the bound
+    # and would not catch one wrong entry of W
+    rng = np.random.default_rng(20)
+    N, L1 = 64, 48
+    a, b = _layout(mode, rng, N, L1, 56)
+    plan = sinc_plan(N, a, b)
+    assert plan.mode is mode
+    eye = np.eye(L1, dtype=complex)
+    fast = np.stack([fast_sinc_transform(plan, e) for e in eye], axis=1)
+    exact = np.stack([sinc_transform_direct(e, a, b, N) for e in eye], axis=1)
+    worst = np.max(np.abs(fast - exact))
+    assert 0.0 < worst <= plan.error_bound()["full"]
