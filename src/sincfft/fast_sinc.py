@@ -30,9 +30,9 @@ import scipy.sparse
 from . import bounds as _bounds
 from .errors import ParameterError, integer
 from .fft_core import sparse_apply
-from .nfft import (_DOMAIN_TOL, _crop, _fill, _plan, as_coefficients,
-                   as_nodes, grid_length, nfft_trafo, stencil_matrix,
-                   stencil_table)
+from .nfft import (_DOMAIN_TOL, _crop, _fill, _plan, _shared,
+                   as_coefficients, as_nodes, grid_length, nfft_trafo,
+                   stencil_matrix, stencil_table)
 # the stage plans and transforms stay importable here for tracers
 from .nfft import nfft_adjoint, nfft_plan  # noqa: F401
 from .nnfft import (NnfftGeometry, NnfftPlan, _nnfft_plan, _stage2_rows,
@@ -184,9 +184,7 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
     grid_b = _on_grid(b, N, sigma1, m1)
     # W first, so that its build peaks before the node tables exist
     key = (N, n, m1, m2, sigma1, sigma2, window1, window2, grid_L1, grid_b)
-    W = _W_LIVE.get(key)
-    if W is None:
-        W = _W_LIVE[key] = _chebyshev_operator(*key)
+    W = _shared(_W_LIVE, key, lambda: _chebyshev_operator(n_star, *key))
     none = np.empty(0)
     if grid_L1 is None or not grid_b:
         # the NNFFT from the sources to the targets, from or to no nodes
@@ -202,8 +200,8 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
                     _MODES[grid_L1 is not None, grid_b], front, W, back)
 
 
-def _chebyshev_operator(N, n, m1, m2, sigma1, sigma2, window1, window2,
-                        grid_L1, grid_b):
+def _chebyshev_operator(n_star, N, n, m1, m2, sigma1, sigma2, window1,
+                        window2, grid_L1, grid_b):
     # W = S3^T diag(s) G1 (rows j: stage 1's gather at z_j, with weight s_j,
     # and stage 3's spread from z_j, onto rows floor(p_j) + 1 - m ..
     # floor(p_j) + m, ascending in j), made in blocks of rows, each from
@@ -211,8 +209,8 @@ def _chebyshev_operator(N, n, m1, m2, sigma1, sigma2, window1, window2,
     quad = cc_quadrature(n)
     z, s = quad.points, quad.weights
     if grid_L1 is None or not grid_b:
-        geo = NnfftGeometry.from_parameters(fast_bandwidth(N, sigma1, m1), 1,
-                                            1, sigma1, sigma2, m1, m2)
+        geo = NnfftGeometry.from_parameters(n_star, 1, 1, sigma1, sigma2,
+                                            m1, m2)
         w1 = WindowSpec(window1, m1, geo.sigma1, geo.N1)
     if grid_L1:  # the NFFT of degree L1 at -N z / (2 L1), wrapped
         spec1 = WindowSpec(window1, m1, sigma1, grid_length(grid_L1, sigma1, m1))

@@ -9,7 +9,7 @@ matrix with a complex vector.
 import numpy as np
 import scipy.fft
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 
 def fft(values, direction="forward", *, blocks=1):
@@ -28,7 +28,7 @@ def fft(values, direction="forward", *, blocks=1):
     v = np.asarray(values)
     if v.ndim != 1 or v.size == 0:
         raise ParameterError("fft: need a nonempty 1-d array")
-    if not isinstance(blocks, (int, np.integer)) or blocks < 1 or v.size % blocks:
+    if v.size % integer(blocks, "fft: blocks"):
         raise ParameterError(f"fft: blocks must be a positive divisor of {v.size}")
     cols = v.reshape(-1, blocks)
     if direction == "forward":

@@ -16,18 +16,25 @@ Every window table, the gather of an NFFT and the spread of an NNFFT
 alike, comes from :func:`stencil_table`: one floor and one fraction per
 node, from which :func:`~sincfft.windows.phi_rows` fills the weight table
 one block of rows at a time, with no other array of its size.
+
+Only those tables depend on the nodes: the plans of one degree and window
+alive at a time share one node-free plan, with its ``deconv`` and ``twiddle``.
 """
+
+import weakref
 
 import numpy as np
 import scipy.sparse
 
 from . import fft_core
-from .errors import ParameterError, PositivityError
+from .errors import ParameterError, PositivityError, integer
 # phi_eval stays importable here for tracers that rebind it per module;
 # every table is made by phi_rows, called through this module's name
 from .windows import WindowSpec, phi_eval, phi_hat_eval, phi_rows
 
 _DOMAIN_TOL = 1e-12
+#: The node-free plan of every live plan, by its degree and window
+_GRID_LIVE = weakref.WeakValueDictionary()
 
 
 class NfftPlan:
@@ -49,7 +56,9 @@ class NfftPlan:
         ``1/(N1 phi_hat_1(N x_j))``, see :class:`~sincfft.nnfft.NnfftPlan`).
     deconv : ndarray, shape (N + 1,)
         ``1 / (n_over * phi_hat(k))`` for ``k = -N/2 .. N/2`` (``phi_hat > 0``
-        there); the last entry serves the adjoint only.
+        there); the last entry serves the adjoint only.  Read-only, and
+        shared with ``twiddle`` by every live plan of the same ``N`` and
+        ``window``: the plan holds the node-free plan they come from.
     blocks : int
         The grid FFT runs as ``P = blocks`` interleaved FFTs of length
         ``Q = n_over / P``, the largest ``P`` with ``Q >= N``
@@ -57,14 +66,14 @@ class NfftPlan:
     twiddle : complex ndarray, shape (P - 1, N + 1)
         ``1 / (n_over * phi_hat(k)) * e^{2 pi i k s / n_over}`` for
         ``s = 1 .. P-1`` and ``k = -N/2 .. N/2``; ``deconv`` plays the
-        part of ``s = 0``.
+        part of ``s = 0``.  Read-only and shared, as ``deconv``.
     gather : scipy.sparse.csr_array, shape (M, n_over)
         The two tables as one matrix sharing their memory; the adjoint
         spreads with its transpose.
     """
 
     def __init__(self, degree, n_over, window, spread_idx, spread_val,
-                 deconv, twiddle):
+                 deconv, twiddle, grid=None):
         self.degree = degree
         self.n_over = n_over
         self.window = window
@@ -75,6 +84,7 @@ class NfftPlan:
         self.blocks = twiddle.shape[0] + 1
         self.twiddle = twiddle
         self.gather = stencil_matrix(spread_idx, spread_val, n_over)
+        self._grid = grid  # the node-free plan of deconv and twiddle
 
 
 def stencil_matrix(idx, val, n_cols):
@@ -175,8 +185,10 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
 
 
 def _plan(N, x, sigma, m, window):
-    # nfft_plan at checked x; at none (x empty) the tables _fill/_crop read
-    if not isinstance(N, (int, np.integer)) or N <= 0 or N % 2:
+    # nfft_plan at checked x; at none (x empty) the shared node-free plan
+    # of these parameters, whose tables _fill/_crop read
+    N = integer(N, "nfft_plan: N")
+    if N % 2:
         raise ParameterError("nfft_plan: N must be a positive even integer")
     n_over = grid_length(N, sigma, m)
     if n_over is None:
@@ -185,9 +197,20 @@ def _plan(N, x, sigma, m, window):
             f"sigma*N = {sigma * N} with m = {m}")
 
     spec = WindowSpec(window, m, float(sigma), n_over)
+    # before the stencil, as phi_hat always was: a stencil made first took
+    # 1 ms longer at 32768 nodes, m = 8 (the heap state its tables meet)
+    grid = _shared(_GRID_LIVE, (N, spec), lambda: _grid_plan(N, spec))
+    if x.size == 0:
+        return grid
+    idx, val = stencil_table(spec, n_over * x)
+    return NfftPlan(N, n_over, spec, idx, val, grid.deconv, grid.twiddle, grid)
+
+
+def _grid_plan(N, spec):
+    # the node-free plan of degree N with window spec, its tables read-only
+    n_over, h = spec.n_grid, N // 2
     # phi_hat on k = -N/2 .. N/2 (the adjoint reads the tables backwards, at
     # -k, which needs the one frequency past the band); even, so mirrored
-    h = N // 2
     d = np.empty(N + 1)
     d[h:] = phi_hat_eval(spec, np.arange(h + 1))
     if np.any(d[h:] <= 0.0):
@@ -197,13 +220,21 @@ def _plan(N, x, sigma, m, window):
     d[:h] = d[:h:-1]
     d *= n_over
     np.reciprocal(d, out=d)
-
-    idx, val = stencil_table(spec, n_over * x)
-    # made after the stencil, so that it does not add to the stencil's peak
     P = block_count(n_over, N)
     k = np.arange(N + 1) - h
     twiddle = d * np.exp((2j * np.pi / n_over) * np.outer(np.arange(1, P), k))
-    return NfftPlan(int(N), n_over, spec, idx, val, d, twiddle)
+    d.flags.writeable = twiddle.flags.writeable = False
+    none = np.empty((0, 2 * spec.m))
+    return NfftPlan(N, n_over, spec, none.astype(np.int32), none, d, twiddle)
+
+
+def _shared(table, key, make):
+    # table[key], or make() entered there: in a WeakValueDictionary every
+    # holder of a key gets one value, which lives no longer than they do
+    value = table.get(key)
+    if value is None:
+        value = table[key] = make()
+    return value
 
 
 # Grid point t = q P + s (row q, column s of a (Q, P) array) gets

@@ -193,9 +193,10 @@ def _nnfft_plan(geo, v, x, window1, window2):
 
     # second stage: the NFFT of degree K at _stage2_rows, whose factors
     # ride in the rows of its gather
-    t, factor = _stage2_rows(geo, w1, x)
+    t, factor = _stage2_rows(geo, w1, x) if x.size else (x, None)
     stage2 = _plan(geo.N1 + 2 * geo.m1, t, geo.sigma2, geo.m2, window2)
-    stage2.spread_val *= factor[:, None]
+    if x.size:  # at no nodes stage2 is the shared node-free plan
+        stage2.spread_val *= factor[:, None]
     return NnfftPlan(geo, w1, spos, sval, stage2)
 
 

@@ -143,6 +143,7 @@ BOOL_BANDWIDTHS = {
     "NnfftGeometry": lambda: NnfftGeometry.from_parameters(True, 4, 4, 2.0, 2.0, 4, 4),
     "NnfftGeometry-M1": lambda: NnfftGeometry.from_parameters(128, True, 4, 2.0, 2.0, 4, 4),
     "rescale_frequencies": lambda: rescale_frequencies(True, GOOD, 2.0, 4),
+    "nfft_plan": lambda: nfft_plan(True, GOOD),
     "choose_n": lambda: bounds.choose_n(True, 1e-6),
 }
 

@@ -244,14 +244,23 @@ def _apply_state_bytes(plan):
     return total
 
 
+def _shared_parts(plan):
+    # W and the node-free plans whose deconv and twiddle the front and the
+    # back read (a node-free stage is such a plan itself)
+    stages = [s.stage2 if isinstance(s, NnfftPlan) else s
+              for s in (plan._front, plan._back)]
+    return [plan._W, *(s._grid or s for s in stages)]
+
+
 def test_plan_holds_little_beyond_its_apply_state():
-    # no copy of the nodes, the Chebyshev points or the weights stays; W is
-    # built inside the measurement, so a shared one cannot pass the test
+    # no copy of the nodes, the Chebyshev points or the weights stays; W and
+    # the grid tables are built inside the measurement, so shared ones
+    # cannot pass the test
     rng = np.random.default_rng(14)
     a, b = _random_nodes(rng, 256), _random_nodes(rng, 2048)
     # first-call imports and caches are not the plan's
-    first_w = weakref.ref(sinc_plan(512, a, b)._W)
-    assert first_w() is None
+    gone = [weakref.ref(part) for part in _shared_parts(sinc_plan(512, a, b))]
+    assert all(ref() is None for ref in gone)
     tracemalloc.start()
     try:
         plan = sinc_plan(512, a, b)
@@ -316,6 +325,22 @@ def test_w_is_read_only_and_lives_only_while_a_plan_holds_it():
     assert kept() is None  # no cache entry outlives the plans sharing it
     params = inspect.signature(sinc_plan).parameters
     assert not any("cache" in name for name in params)
+
+
+@pytest.mark.parametrize("mode", list(SincMode), ids=lambda m: m.value)
+def test_output_is_the_same_with_and_without_a_live_twin(mode):
+    rng = np.random.default_rng(21)
+    a, b = _layout(mode, rng, 64, 48, 40)
+    c = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+    alone = sinc_plan(64, a, b)
+    out = fast_sinc_transform(alone, c)
+    gone = [weakref.ref(part) for part in _shared_parts(alone)]
+    del alone
+    assert all(ref() is None for ref in gone)  # alone shared nothing
+    twin = sinc_plan(64, *_layout(mode, rng, 64, 48, 40))
+    plan = sinc_plan(64, a, b)
+    assert all(p is t for p, t in zip(_shared_parts(plan), _shared_parts(twin)))
+    assert np.array_equal(fast_sinc_transform(plan, c), out)
 
 
 @pytest.mark.parametrize("window", ["sinh", "bspline", "kaiser-bessel"])

@@ -45,6 +45,8 @@ def test_fft_rejects():
         fft_core.fft(np.ones((2, 2)), "forward")
     with pytest.raises(ParameterError):
         fft_core.fft(np.ones(6), "forward", blocks=4)
+    with pytest.raises(ParameterError, match="got bool"):
+        fft_core.fft(np.ones(4), "forward", blocks=True)
 
 
 @pytest.mark.parametrize("L, P", [(12, 1), (12, 2), (12, 3), (528, 2)])

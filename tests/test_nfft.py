@@ -1,6 +1,7 @@
 """Gridding NFFT: accuracy against the exact polynomial, adjoint exactness."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from sincfft import bounds
 from sincfft.direct import ndft_direct
 from sincfft.errors import ParameterError, PositivityError
 from sincfft.nfft import block_count, nfft_adjoint, nfft_plan, nfft_trafo
-from sincfft.nnfft import NnfftGeometry, nnfft_plan
+from sincfft.nnfft import NnfftGeometry, nnfft_plan, nnfft_trafo
 from sincfft.windows import phi_eval, window_kinds
 
 
@@ -171,7 +172,10 @@ def test_plan_allocates_little_beyond_its_tables(kind):
     # the window rows are evaluated in blocks straight into the value
     # table: besides the two tables only per-node vectors are made
     x = np.random.default_rng(3).uniform(-0.5, 0.5, 65536)
-    nfft_plan(4096, x, m=8, window=kind)  # first call: one-time costs
+    warm = nfft_plan(4096, x, m=8, window=kind)  # first call: one-time costs
+    gone = weakref.ref(warm._grid)
+    del warm
+    assert gone() is None  # so deconv and twiddle are made inside the measurement
     tracemalloc.start()
     try:
         plan = nfft_plan(4096, x, m=8, window=kind)
@@ -179,6 +183,74 @@ def test_plan_allocates_little_beyond_its_tables(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * (plan.spread_idx.nbytes + plan.spread_val.nbytes)
+
+
+def test_live_plans_with_equal_parameters_share_their_grid_tables():
+    rng = np.random.default_rng(4)
+    first = nfft_plan(64, rng.uniform(-0.5, 0.5, 30), sigma=1.5, m=5)
+    second = nfft_plan(np.int64(64), rng.uniform(-0.5, 0.5, 9), sigma=1.5, m=5)
+    assert second.deconv is first.deconv and second.twiddle is first.twiddle
+    assert second._grid is first._grid and first._grid.node_count == 0
+    # an NNFFT's second stage is the NFFT of degree K: its tables are shared too
+    v = rng.uniform(-0.4, 0.4, 7)
+    nn = [nnfft_plan(32, v, rng.uniform(-0.5, 0.5, M), m1=3, m2=3) for M in (5, 9)]
+    assert nn[0].stage2.deconv is nn[1].stage2.deconv
+    assert nn[0].stage2.twiddle is nn[1].stage2.twiddle
+
+
+@pytest.mark.parametrize("change", [{"N": 32}, {"window": "bspline"}, {"m": 4},
+                                    {"sigma": 2.0}], ids=["N", "kind", "m", "sigma"])
+def test_every_grid_parameter_gives_its_own_entry(change):
+    x = np.random.default_rng(5).uniform(-0.5, 0.5, 20)
+    base = {"N": 64, "sigma": 1.5, "m": 5, "window": "sinh"}
+    plan = nfft_plan(**base, nodes=x)
+    other = nfft_plan(**{**base, **change}, nodes=x)
+    assert other._grid is not plan._grid and other.deconv is not plan.deconv
+    assert (other.deconv.shape != plan.deconv.shape
+            or not np.array_equal(other.deconv, plan.deconv))
+
+
+def test_grid_tables_are_read_only_and_live_only_while_a_plan_holds_them():
+    rng = np.random.default_rng(6)
+    plan = nfft_plan(32, rng.uniform(-0.5, 0.5, 8))
+    last = nfft_plan(32, rng.uniform(-0.5, 0.5, 3))
+    for arr in (plan.deconv, plan.twiddle):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    kept = weakref.ref(plan._grid)
+    del plan
+    assert kept() is last._grid
+    del last
+    assert kept() is None  # no reference cycle: freed without gc.collect()
+
+
+def _nfft_pair(rng, x):
+    plan = nfft_plan(64, x, sigma=1.5, m=5)
+    c = rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)
+    y = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    return plan, plan, (nfft_trafo(plan, c), nfft_adjoint(plan, y))
+
+
+def _nnfft_one(rng, x):
+    plan = nnfft_plan(32, np.linspace(-0.4, 0.4, 11), x, m1=3, m2=3)
+    f = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    return plan, plan.stage2, (nnfft_trafo(plan, f),)
+
+
+@pytest.mark.parametrize("transform", [_nfft_pair, _nnfft_one],
+                         ids=["nfft_trafo-nfft_adjoint", "nnfft_trafo"])
+def test_outputs_are_the_same_with_and_without_a_live_twin(transform):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.5, 0.5, 40)
+    alone, stage, outputs = transform(np.random.default_rng(8), x)
+    gone = weakref.ref(stage._grid)
+    del alone, stage
+    assert gone() is None  # alone made its own grid tables
+    twin_stage = transform(rng, rng.uniform(-0.5, 0.5, 25))[1]
+    _, stage, again = transform(np.random.default_rng(8), x)
+    assert stage._grid is twin_stage._grid
+    for out, ref in zip(again, outputs):
+        assert np.array_equal(out, ref)
 
 
 def _assert_stencil(idx, val, op, spec, nodes, placed):
