@@ -35,8 +35,9 @@ from .nfft import (_DOMAIN_TOL, _crop, _fill, _plan, _shared,
                    stencil_matrix, stencil_table)
 # the stage plans and transforms stay importable here for tracers
 from .nfft import nfft_adjoint, nfft_plan  # noqa: F401
-from .nnfft import (NnfftGeometry, NnfftPlan, _nnfft_plan, _stage2_rows,
-                    fast_bandwidth, nnfft_plan, nnfft_trafo)  # noqa: F401
+from .nnfft import (NnfftGeometry, NnfftPlan, _nnfft_plan, _stage2,
+                    _stage2_rows, fast_bandwidth, nnfft_plan,
+                    nnfft_trafo)  # noqa: F401
 from .sinc_approx import cc_quadrature
 from .windows import WindowSpec, check_window
 
@@ -182,35 +183,38 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
     n_star = fast_bandwidth(N, sigma1, m1)
     grid_L1 = a.size if _on_grid(a, a.size, sigma1, m1) else None
     grid_b = _on_grid(b, N, sigma1, m1)
-    # W first, so that its build peaks before the node tables exist
-    key = (N, n, m1, m2, sigma1, sigma2, window1, window2, grid_L1, grid_b)
-    W = _shared(_W_LIVE, key, lambda: _chebyshev_operator(n_star, *key))
-    none = np.empty(0)
+    geo = None  # no NNFFT where both stages are on their grid
     if grid_L1 is None or not grid_b:
-        # the NNFFT from the sources to the targets, from or to no nodes
-        # where they are on their grid
         geo = NnfftGeometry.from_parameters(n_star, a.size, b.size, sigma1,
                                             sigma2, m1, m2)
-        nn = _nnfft_plan(geo, none if grid_L1 else (a * N) / n_star,
-                         none if grid_b else b, window1, window2)
-    front = _plan(grid_L1, none, sigma1, m1, window1) if grid_L1 else nn
-    back = _plan(N, none, sigma1, m1, window1) if grid_b else nn.stage2
+    # W first, so that its build peaks before the node tables exist
+    key = (N, n, m1, m2, sigma1, sigma2, window1, window2, grid_L1, grid_b)
+    W = _shared(_W_LIVE, key, lambda: _chebyshev_operator(geo, *key))
+    none = np.empty(0)
+    # the NNFFT from the sources to the targets, to no targets where they
+    # are on their grid, and only its second stage where the sources are
+    front = _plan(grid_L1, none, sigma1, m1, window1) if grid_L1 else _nnfft_plan(
+        geo, (a * N) / n_star, none if grid_b else b, window1, window2)
+    if grid_b:
+        back = _plan(N, none, sigma1, m1, window1)
+    else:
+        back = _stage2(geo, WindowSpec(window1, m1, geo.sigma1, geo.N1), b,
+                       window2) if grid_L1 else front.stage2
     params = (m1, m2, sigma1, sigma2, window1, window2)
     return SincPlan(N, n, a.size, b.size, params, n_star,
                     _MODES[grid_L1 is not None, grid_b], front, W, back)
 
 
-def _chebyshev_operator(n_star, N, n, m1, m2, sigma1, sigma2, window1,
+def _chebyshev_operator(geo, N, n, m1, m2, sigma1, sigma2, window1,
                         window2, grid_L1, grid_b):
     # W = S3^T diag(s) G1 (rows j: stage 1's gather at z_j, with weight s_j,
     # and stage 3's spread from z_j, onto rows floor(p_j) + 1 - m ..
     # floor(p_j) + m, ascending in j), made in blocks of rows, each from
-    # the nodes whose S3 rows reach it
+    # the nodes whose S3 rows reach it; geo is the plan's NNFFT geometry,
+    # None where both stages are on their grid
     quad = cc_quadrature(n)
     z, s = quad.points, quad.weights
-    if grid_L1 is None or not grid_b:
-        geo = NnfftGeometry.from_parameters(n_star, 1, 1, sigma1, sigma2,
-                                            m1, m2)
+    if geo is not None:
         w1 = WindowSpec(window1, m1, geo.sigma1, geo.N1)
     if grid_L1:  # the NFFT of degree L1 at -N z / (2 L1), wrapped
         spec1 = WindowSpec(window1, m1, sigma1, grid_length(grid_L1, sigma1, m1))

@@ -125,10 +125,15 @@ def fast_bandwidth(N, sigma1, m1):
     then has no prime factor above 11."""
     check_window(None, m1, sigma1, "1")
     start = int(N) + math.ceil(2 * m1 / sigma1)
-    for n_star in range(start, start + 100000):
-        n1 = grid_length(n_star, sigma1, m1)
-        if n1 is not None and scipy.fft.next_fast_len(n1 + 2 * m1) == n1 + 2 * m1:
+    if not math.isfinite(sigma1 * start):
+        raise ParameterError(f"sigma1 * N must be finite, got sigma1 = {sigma1}")
+    # K grows with N*: the fast lengths from sigma1 * start on, in turn,
+    # each with the one N* that could give it, among 100000 N*
+    K = scipy.fft.next_fast_len(int(sigma1 * start) + 2 * m1)
+    while (n_star := round((K - 2 * m1) / sigma1)) < start + 100000:
+        if n_star >= start and grid_length(n_star, sigma1, m1) == K - 2 * m1:
             return n_star
+        K = scipy.fft.next_fast_len(K + 1)
     raise ParameterError(f"no admissible bandwidth found for sigma1={sigma1}")
 
 
@@ -176,8 +181,8 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
 
 
 def _nnfft_plan(geo, v, x, window1, window2):
-    # nnfft_plan on geo at checked v and x; an empty v or x leaves out the
-    # spread or the gather, for transforms that plan one half of an NNFFT
+    # nnfft_plan on geo at checked v and x; an empty x leaves out the
+    # gather, for transforms that plan only the spread of an NNFFT
     geo = replace(geo, M1=v.size, M2=x.size)
     vmax = 0.5 / geo.a
     if not np.all(np.abs(v) <= vmax + _DOMAIN_TOL):
@@ -190,14 +195,17 @@ def _nnfft_plan(geo, v, x, window1, window2):
     # spreading table: phi_1 on the 2*m1 coarse-grid points around N1 v_k,
     # moved by K/2 onto 0..K-1, which |v_k| <= 1/(2a) keeps them inside
     spos, sval = stencil_table(w1, geo.N1 * v, shift=(geo.N1 + 2 * geo.m1) // 2)
+    return NnfftPlan(geo, w1, spos, sval, _stage2(geo, w1, x, window2))
 
-    # second stage: the NFFT of degree K at _stage2_rows, whose factors
+
+def _stage2(geo, window1, x, window2):
+    # the second stage: the NFFT of degree K at _stage2_rows, whose factors
     # ride in the rows of its gather
-    t, factor = _stage2_rows(geo, w1, x) if x.size else (x, None)
+    t, factor = _stage2_rows(geo, window1, x) if x.size else (x, None)
     stage2 = _plan(geo.N1 + 2 * geo.m1, t, geo.sigma2, geo.m2, window2)
     if x.size:  # at no nodes stage2 is the shared node-free plan
         stage2.spread_val *= factor[:, None]
-    return NnfftPlan(geo, w1, spos, sval, stage2)
+    return stage2
 
 
 def _stage2_rows(geo, window1, x):

@@ -11,16 +11,13 @@ actually applied on a grid of ``n_grid`` points with cut-off ``m`` is the
 dilation ``phi(t) = omega(n_grid * t / m)`` with transform
 ``phi_hat(v) = (m / n_grid) * omega_hat(m * v / n_grid)``.
 
-Three shapes are provided:
+Two shapes are provided, both continuous on the real line:
 
 ``sinh``
     ``sinh(beta sqrt(1 - x^2)) / sinh(beta)`` with
     ``beta = 2 pi m (1 - 1/(2 sigma))``; closed-form transform.
 ``bspline``
     centered cardinal B-spline of order ``2m``; closed-form transform.
-``kaiser-bessel``
-    ``I_0(beta sqrt(1 - x^2)) / I_0(beta)`` on the open interval, zero at
-    ``|x| >= 1`` (same ``beta`` as the sinh shape); closed-form transform.
 
 :func:`cardinal_bspline` evaluates the B-spline at ``-|x|`` by Horner's
 rule on one table of piece coefficients per order, so the tail pieces keep
@@ -49,7 +46,7 @@ from scipy import special as _sp
 
 from .errors import ParameterError, integer
 
-_KINDS = ("sinh", "bspline", "kaiser-bessel")
+_KINDS = ("sinh", "bspline")
 
 _SIGMA_TOL = 1e-9
 
@@ -180,23 +177,19 @@ def cardinal_bspline(order, x):
 _BLOCK = 16384
 
 
-def _root(y):
-    # y -> s = sqrt(max(1 - y^2, 0)), in place: s = 0 for |y| >= 1, also
-    # for the arguments of phi_rows that round to just above 1
-    np.multiply(y, y, out=y)
-    np.subtract(1.0, y, out=y)
-    np.maximum(y, 0.0, out=y)
-    np.sqrt(y, out=y)
-
-
 def _sinh_kernel(spec):
     b = spec.beta
     c = -np.expm1(-2.0 * b)
 
     def kernel(y, tmp):
+        # y -> s = sqrt(max(1 - y^2, 0)) in place, 0 for |y| >= 1 (also for
+        # the arguments of phi_rows that round to just above 1), then
         # sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
-        # stable for large b; s = 0 (value 0) outside the support
-        _root(y)
+        # stable for large b
+        np.multiply(y, y, out=y)
+        np.subtract(1.0, y, out=y)
+        np.maximum(y, 0.0, out=y)
+        np.sqrt(y, out=y)
         np.multiply(y, -2.0 * b, out=tmp)
         np.expm1(tmp, out=tmp)
         np.negative(tmp, out=tmp)
@@ -205,26 +198,6 @@ def _sinh_kernel(spec):
         np.exp(y, out=y)
         np.multiply(y, tmp, out=y)
         np.divide(y, c, out=y)
-    return kernel
-
-
-def _kaiser_bessel_kernel(spec):
-    b = spec.beta
-    i0e_b = _sp.i0e(b)
-
-    def kernel(y, tmp):
-        # I0(b s)/I0(b) = i0e(b s)/i0e(b) e^{b(s-1)} on the open support;
-        # the window jumps to 0 at |x| = 1
-        outside = np.abs(y) >= 1.0
-        _root(y)
-        np.multiply(y, b, out=tmp)
-        _sp.i0e(tmp, out=tmp)
-        np.divide(tmp, i0e_b, out=tmp)
-        np.subtract(y, 1.0, out=y)
-        np.multiply(y, b, out=y)
-        np.exp(y, out=y)
-        np.multiply(tmp, y, out=y)
-        y[outside] = 0.0
     return kernel
 
 
@@ -238,84 +211,56 @@ def _bspline_kernel(spec):
     return kernel
 
 
-_KERNELS = {"sinh": _sinh_kernel, "bspline": _bspline_kernel,
-            "kaiser-bessel": _kaiser_bessel_kernel}
-
-
-def _bessel_ratio_series(w):
-    # I1(z)/z as a power series in w = z^2; the same series evaluated at
-    # negative w gives J1(z)/z with w = -z^2, so one expression covers the
-    # neighborhood of w = 0 from both sides.
-    return 0.5 + w / 16.0 + w * w / 384.0 + w * w * w / 18432.0
-
-
-def _sinh_ratio_series(w):
-    # sinh(z)/z in w = z^2, which is sin(y)/y at w = -y^2
-    return 1.0 + w / 6.0 + w * w / 120.0 + w * w * w / 5040.0
-
-
-def _across_w_zero(b, v, series, pos, neg):
-    # the sinh and Kaiser-Bessel transforms are entire in
-    # w = beta^2 - 4 pi^2 v^2: a power series in w near w = 0, closed forms
-    # in z = sqrt(|w|) on either side; pos may overwrite its argument
-    w = np.atleast_1d(np.multiply(4.0 * np.pi * np.pi, v))
-    w *= v
-    np.subtract(b * b, w, out=w)
-    if np.all(w > 1e-3):  # the band of a plan: one closed form, no masks
-        return pos(np.sqrt(w, out=w)).reshape(v.shape)
-    res = np.empty_like(w)
-    near = np.abs(w) <= 1e-3
-    res[near] = series(w[near])
-    above = w > 1e-3
-    res[above] = pos(np.sqrt(w[above]))
-    below = w < -1e-3
-    res[below] = neg(np.sqrt(-w[below]))
-    return res.reshape(v.shape)
+_KERNELS = {"sinh": _sinh_kernel, "bspline": _bspline_kernel}
 
 
 def omega_hat_eval(spec, v):
     """Fourier transform ``omega_hat`` of the shape function at ``v``.
 
-    Closed forms, with ``z = sqrt(beta^2 - 4 pi^2 v^2)``:
-    ``pi beta I_1(z) / (z sinh(beta))`` (sinh), ``2 sinh(z) / (z I_0(beta))``
-    (kaiser-bessel) and ``sinc(pi v / m)^(2m) / (m B_2m(0))`` (bspline,
-    with the unnormalized ``sinc(y) = sin(y)/y``).
+    Closed forms: ``sinc(pi v / m)^(2m) / (m B_2m(0))`` (bspline, with the
+    unnormalized ``sinc(y) = sin(y)/y``) and ``pi beta I_1(z) / (z
+    sinh(beta))`` (sinh), with ``z = sqrt(w)``, ``w = beta^2 - 4 pi^2 v^2``.
+    The sinh transform is entire in ``w``: it is evaluated as above for
+    ``w > 1e-3``, as a power series in ``w`` for ``|w| <= 1e-3`` and as
+    ``pi beta J_1(y) / (y sinh(beta))``, ``y = sqrt(-w)``, for ``w < -1e-3``.
     """
     arr = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("window transform argument must be finite")
-    b = spec.beta
     if spec.kind == "bspline":
         b0 = cardinal_bspline(2 * spec.m, 0.0)
         out = np.sinc(arr / spec.m) ** (2 * spec.m) / (spec.m * b0)
-    elif spec.kind == "sinh":
-        one_m = -np.expm1(-2.0 * b)  # 1 - e^{-2 beta}
+        return float(out) if arr.ndim == 0 else out
+    b = spec.beta
+    one_m = -np.expm1(-2.0 * b)  # 1 - e^{-2 beta}
+
+    def above(z):
+        # pi beta I1(z)/(z sinh(beta)) = 2 pi beta i1e(z) e^{z - beta} /
+        # (one_m z), with I1(z) = i1e(z) e^z; overwrites z
+        out = _sp.i1e(z) * (2.0 * np.pi * b)
+        out *= np.exp(z - b)
+        out /= np.multiply(z, one_m, out=z)
+        return out
+    w = np.atleast_1d(np.multiply(4.0 * np.pi * np.pi, arr))
+    w *= arr
+    np.subtract(b * b, w, out=w)
+    if np.all(w > 1e-3):  # the band of a plan: one closed form, no masks
+        out = above(np.sqrt(w, out=w))
+    else:
         # pi*beta/sinh(beta), written without evaluating sinh
         pref = 2.0 * np.pi * b * np.exp(-b) / one_m
-
-        def above(z):
-            # pref * I1(z)/z, with I1(z) = i1e(z) e^z folded into the
-            # prefactor: 2 pi beta i1e(z) e^{z - beta} / (one_m z)
-            out = _sp.i1e(z) * (2.0 * np.pi * b)
-            out *= np.exp(z - b)
-            out /= np.multiply(z, one_m, out=z)
-            return out
-        out = _across_w_zero(
-            b, arr, lambda w: pref * _bessel_ratio_series(w), above,
-            lambda y: pref * _sp.j1(y) / y)
-    else:  # kaiser-bessel
-        i0e = _sp.i0e(b)
-        pref = 2.0 * np.exp(-b) / i0e  # 2 / I0(beta)
-
-        def above(z):
-            # 2 sinh(z) / (z I0(beta)) = (1 - e^{-2z}) e^{z - beta} / (z i0e(beta))
-            out = -np.expm1(z * -2.0)
-            out *= np.exp(z - b)
-            out /= np.multiply(z, i0e, out=z)
-            return out
-        out = _across_w_zero(
-            b, arr, lambda w: pref * _sinh_ratio_series(w), above,
-            lambda y: pref * np.sin(y) / y)
+        out = np.empty_like(w)
+        near = np.abs(w) <= 1e-3
+        # I1(z)/z as a power series in w = z^2, which is J1(y)/y at w = -y^2
+        wn = w[near]
+        out[near] = pref * (0.5 + wn / 16.0 + wn * wn / 384.0
+                            + wn * wn * wn / 18432.0)
+        pos = w > 1e-3
+        out[pos] = above(np.sqrt(w[pos]))
+        neg = w < -1e-3
+        y = np.sqrt(-w[neg])
+        out[neg] = pref * _sp.j1(y) / y
+    out = out.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -350,8 +295,8 @@ def phi_rows(spec, t):
     column ``i``.
 
     Filled ``_BLOCK`` elements at a time, with no table of arguments.  The
-    sinh and Kaiser-Bessel arguments ``(t_j/n + (-l)/n) / (m/n)`` lie in
-    ``[-1, 1]`` up to rounding and run the kernels of :func:`phi_eval`
+    sinh arguments ``(t_j/n + (-l)/n) / (m/n)`` lie in
+    ``[-1, 1]`` up to rounding and run the kernel of :func:`phi_eval`
     without its checks: the values are ``phi_eval(spec, t_j/n + (-l)/n)``
     bit for bit.  The B-spline column ``l >= 1`` is piece ``m - l`` at
     ``u = t_j`` and column ``l <= 0`` piece ``m + l - 1`` at ``u = 1 - t_j``,

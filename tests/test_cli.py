@@ -252,4 +252,4 @@ def test_every_subcommand_keeps_its_options():
                 for a in actions if a.dest != "help"} == expected, name
         for action in actions:
             if action.dest in ("window1", "window2"):
-                assert tuple(action.choices) == ("sinh", "bspline", "kaiser-bessel")
+                assert tuple(action.choices) == ("sinh", "bspline")

@@ -15,7 +15,8 @@ from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
 from sincfft.nfft import nfft_adjoint, nfft_plan, nfft_trafo
 from sincfft.nnfft import (NnfftGeometry, nnfft_plan, nnfft_trafo,
                            rescale_frequencies)
-from sincfft.windows import WindowSpec
+from sincfft.cli import main
+from sincfft.windows import WindowSpec, check_window
 
 GOOD = np.array([0.1, 0.0, -0.2, 0.3])
 GRID = (np.arange(32) - 16) / 32  # both stages of sinc_plan(32, GRID, GRID) are NFFTs
@@ -81,6 +82,10 @@ BAD_PARAMETERS = {
     "sinc_plan-grid-sigma2-above-sinh-range": lambda: sinc_plan(32, GRID, GRID, sigma2=3.0),
     "rescale_frequencies-2d": lambda: rescale_frequencies(16, np.zeros((2, 3)), 2.0, 4),
     "rescale_frequencies-empty": lambda: rescale_frequencies(16, np.zeros(0), 2.0, 4),
+    # sigma1 N* is an integer only every 10^7 steps: no admissible N* among
+    # the 10^5 that the search may try
+    "rescale_frequencies-no-bandwidth": lambda: rescale_frequencies(
+        10, GOOD, 1.0000001, 2),
     "sinc_transform_direct-nan": lambda: sinc_transform_direct(
         np.ones(4), np.where(GOOD == 0.0, NAN, GOOD), GOOD, 16),
     "sinc_transform_direct-nan-coefficient": lambda: sinc_transform_direct(
@@ -187,3 +192,32 @@ def test_window_is_checked_before_the_quadrature(kwargs):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# the truncated Kaiser-Bessel window is no kind: its jump at the support
+# edge leaves its aliasing sum with no finite bound
+REMOVED_WINDOW = {
+    "WindowSpec": lambda w: WindowSpec(w, 4, 2.0, 64),
+    "check_window": lambda w: check_window(w, 4, 2.0),
+    "nfft_plan": lambda w: nfft_plan(16, GOOD, window=w),
+    "nnfft_plan-window1": lambda w: nnfft_plan(16, 0.5 * GOOD, GOOD, window1=w),
+    "nnfft_plan-window2": lambda w: nnfft_plan(16, 0.5 * GOOD, GOOD, window2=w),
+    "sinc_plan-window1": lambda w: sinc_plan(16, GOOD, GOOD, window1=w),
+    "sinc_plan-window2": lambda w: sinc_plan(16, GOOD, GOOD, window2=w),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REMOVED_WINDOW))
+def test_kaiser_bessel_window_is_rejected(entry):
+    with pytest.raises(ParameterError, match=r"\('sinh', 'bspline'\)"):
+        REMOVED_WINDOW[entry]("kaiser-bessel")
+
+
+def test_cli_rejects_the_kaiser_bessel_window(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["nnfft-error", "--N", "32", "--M1", "4", "--M2", "4", "--m1", "3",
+              "--reps", "1", "--window1", "kaiser-bessel", "--out", str(out)])
+    assert info.value.code == 2
+    assert "kaiser-bessel" in capsys.readouterr().err
+    assert not out.exists()

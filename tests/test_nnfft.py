@@ -13,8 +13,8 @@ from sincfft import bounds
 from sincfft.direct import nndft_direct
 from sincfft.errors import ParameterError
 from sincfft.nfft import NfftPlan, stencil_table
-from sincfft.nnfft import (NnfftGeometry, nnfft_plan, nnfft_trafo,
-                           rescale_frequencies)
+from sincfft.nnfft import (NnfftGeometry, fast_bandwidth, nnfft_plan,
+                           nnfft_trafo, rescale_frequencies)
 from sincfft.windows import WindowSpec, phi_eval, phi_hat_eval
 
 
@@ -61,16 +61,19 @@ def test_geometry_rejects():
        sigma2=st.floats(min_value=1.01, max_value=3.0),
        m1=st.integers(min_value=2, max_value=8),
        m2=st.integers(min_value=2, max_value=8),
-       window=st.sampled_from(["kaiser-bessel", "bspline"]))
+       window=st.sampled_from(["sinh", "bspline"]))
 def test_every_accepted_geometry_builds_a_plan(N, sigma1, sigma2, m1, m2, window):
     try:
         geo = NnfftGeometry.from_parameters(N, 3, 3, sigma1, sigma2, m1, m2)
     except ParameterError:
         return
+    # sinh where its range 5/4 <= sigma <= 2 holds, the B-spline at any sigma
+    window1, window2 = (window if 1.25 <= s <= 2.0 else "bspline"
+                        for s in (sigma1, geo.sigma2))
     vmax = 0.5 / geo.a
     plan = nnfft_plan(N, np.array([-vmax, 0.0, vmax]), np.array([-0.5, 0.0, 0.5]),
                       sigma1=sigma1, sigma2=sigma2, m1=m1, m2=m2,
-                      window1=window, window2=window)
+                      window1=window1, window2=window2)
     assert plan.geometry == geo
 
 
@@ -124,6 +127,19 @@ def test_rescaled_bandwidth_is_smallest_admissible_with_fast_fft(N, sigma1, m1, 
     assert scipy.fft.next_fast_len(K) == K
     # one rounding: N* v* lies within one ulp of N v
     assert np.all(np.abs(n_star * v_star - N * v) <= np.spacing(np.abs(N * v)))
+
+
+@pytest.mark.parametrize("sigma1", [1.25, 1.5, 1.75, 2.0, 3.0, 4.0])
+def test_fast_bandwidth_is_the_first_admissible_of_the_scan(sigma1):
+    # the scan over every N* >= N + ceil(2 m1/sigma1) as the oracle; the
+    # starts grow with N, so one pass over N* serves all N of one m1
+    for m1 in (2, 3, 4, 6, 8, 10):
+        n = 0
+        for N in [*range(1, 3000), 16384, 65536, 100000]:
+            n = max(n, N + int(-(-2 * m1 // Fraction(sigma1))))
+            while not _admissible(n, sigma1, m1):
+                n += 1
+            assert fast_bandwidth(N, sigma1, m1) == n, (N, m1)
 
 
 def test_stencil_matrices_share_the_tables():

@@ -17,7 +17,6 @@ from sincfft.windows import (_BLOCK, WindowSpec, cardinal_bspline,
 SPECS = {
     "sinh": WindowSpec("sinh", 4, 2.0, 64),
     "bspline": WindowSpec("bspline", 4, 2.0, 64),
-    "kaiser-bessel": WindowSpec("kaiser-bessel", 4, 2.0, 64),
 }
 
 
@@ -90,18 +89,6 @@ def test_sinh_hat_against_quadrature_wide_range():
     assert np.max(np.abs(closed - ref)) < 1e-9
 
 
-@settings(max_examples=60, deadline=None)
-@given(m=st.integers(min_value=2, max_value=12),
-       sigma=st.floats(min_value=1.05, max_value=4.0),
-       t=st.floats(min_value=0.0, max_value=1.0))
-def test_closed_form_hat_matches_quadrature(m, sigma, t):
-    """Kaiser-Bessel closed form on v in [0, 2m]."""
-    spec = WindowSpec("kaiser-bessel", m, sigma, 1024)
-    v = 2.0 * m * t
-    hat0 = omega_hat_eval(spec, 0.0)
-    assert abs(omega_hat_eval(spec, v) - _quad_transform(spec, v)) <= 1e-12 * hat0
-
-
 def test_bspline_hat_at_zero():
     # integral of the scaled B-spline shape: 1/(m * B_{2m}(0)); m=2 gives 3/4
     spec = WindowSpec("bspline", 2, 2.0, 64)
@@ -132,9 +119,9 @@ def test_spec_validation():
         WindowSpec("bspline", 4, 2.0, 63)  # odd grid
     with pytest.raises(ParameterError):
         WindowSpec("bspline", 40, 2.0, 64)  # support exceeds grid
-    # the non-sinh kinds are not tied to the sinh sigma range
+    # the B-spline is not tied to the sinh sigma range
     WindowSpec("bspline", 4, 3.0, 64)
-    WindowSpec("kaiser-bessel", 4, 1.1, 64)
+    WindowSpec("bspline", 4, 1.1, 64)
 
 
 @pytest.mark.parametrize("kind", window_kinds())
@@ -254,11 +241,10 @@ def test_phi_rows_clamp_rounded_arguments():
     # at m = 3, n = 210 the first argument of t just below 1 rounds to
     # 1 + 2^-52: the root is clamped to 0, where 1 - y^2 < 0 would give NaN
     t = np.array([np.nextafter(1.0, 0.0), 1.0])
-    for kind in ("sinh", "kaiser-bessel"):
-        spec = WindowSpec(kind, 3, 2.0, 210)
-        assert np.all(_row_arguments(spec, t)[:, 0] / (3 / 210) > 1.0)
-        rows = phi_rows(spec, t)
-        assert np.all(np.isfinite(rows)) and np.all(rows[:, 0] == 0.0)
+    spec = WindowSpec("sinh", 3, 2.0, 210)
+    assert np.all(_row_arguments(spec, t)[:, 0] / (3 / 210) > 1.0)
+    rows = phi_rows(spec, t)
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 0] == 0.0)
 
 
 @pytest.mark.parametrize("kind", window_kinds())
