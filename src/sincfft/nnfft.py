@@ -125,12 +125,13 @@ def fast_bandwidth(N, sigma1, m1):
     then has no prime factor above 11."""
     check_window(None, m1, sigma1, "1")
     start = int(N) + math.ceil(2 * m1 / sigma1)
-    if not math.isfinite(sigma1 * start):
-        raise ParameterError(f"sigma1 * N must be finite, got sigma1 = {sigma1}")
+    if not sigma1 * start < 2.0 ** 53:
+        raise ParameterError(f"sigma1 * N must be below 2^53, got {sigma1} * {N}")
     # K grows with N*: the fast lengths from sigma1 * start on, in turn,
-    # each with the one N* that could give it, among 100000 N*
+    # each with the one N* that could give it, among 100000 N* and below
+    # 2^53, where floats stop holding every length
     K = scipy.fft.next_fast_len(int(sigma1 * start) + 2 * m1)
-    while (n_star := round((K - 2 * m1) / sigma1)) < start + 100000:
+    while K < 2 ** 53 and (n_star := round((K - 2 * m1) / sigma1)) < start + 100000:
         if n_star >= start and grid_length(n_star, sigma1, m1) == K - 2 * m1:
             return n_star
         K = scipy.fft.next_fast_len(K + 1)

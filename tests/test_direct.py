@@ -109,6 +109,50 @@ def test_blocked_sums_agree_with_mpmath(terms, targets):
         assert np.max(np.abs(out - ref)) < 1e-13 * np.sum(np.abs(coef))
 
 
+def _rel_err(out, ref, coef):
+    return np.max(np.abs(out - ref)) / np.sum(np.abs(coef))
+
+
+# reference sums on unreduced phases, np.exp of the whole phase and np.sinc
+# of N (b - a): the oracles, which reduce them, must be at least as accurate
+def _unreduced_nndft(f, v, x, N):
+    return (f * np.exp(-2j * np.pi * N * (x[:, None] * v))).sum(axis=1)
+
+
+def _unreduced_sinc(c, a, b, N):
+    return (c * np.sinc(N * (b[:, None] - a))).sum(axis=1)
+
+
+@pytest.mark.parametrize("N", [65536, 1200])
+def test_nndft_with_large_phases_agrees_with_mpmath(N):
+    rng = np.random.default_rng(N)
+    f = rng.uniform(-1, 1, 4096) + 1j * rng.uniform(-1, 1, 4096)
+    v = rng.uniform(-0.5, 0.5, 4096)
+    x = rng.uniform(-0.5, 0.5, 4)
+    src = [mpmath.mpf(vk) for vk in v]
+    ref = _mp_sums(f, x, lambda xj, k: mpmath.expj(-2 * mpmath.pi * N * src[k] * xj))
+    err = _rel_err(nndft_direct(f, v, x, N), ref, f)
+    assert err < 1e-13
+    assert err <= _rel_err(_unreduced_nndft(f, v, x, N), ref, f)
+
+
+@pytest.mark.parametrize("N", [16384, 1000, 12345.5])
+def test_sinc_with_large_phases_agrees_with_mpmath(N):
+    # random targets, a target on a source, targets within and beyond
+    # |N (b - a)| = 1 of a source, and targets on the grid k / N
+    rng = np.random.default_rng(int(N))
+    c = rng.uniform(-1, 1, 4096) + 1j * rng.uniform(-1, 1, 4096)
+    a = rng.uniform(-0.5, 0.5, 4096)
+    b = np.concatenate([rng.uniform(-0.5, 0.5, 3), a[:1],
+                        a[1:4] + np.array([0.999999, -1.0, 1.000001]) / N,
+                        np.array([0, 7, -100]) / N])
+    Nm, src = mpmath.mpf(N), [mpmath.mpf(ak) for ak in a]
+    ref = _mp_sums(c, b, lambda bj, k: mpmath.sincpi(Nm * (bj - src[k])))
+    err = _rel_err(sinc_transform_direct(c, a, b, N), ref, c)
+    assert err < 1e-13
+    assert err <= _rel_err(_unreduced_sinc(c, a, b, N), ref, c)
+
+
 def test_oracle_temporaries_do_not_grow_with_the_input():
     # one target against 131072 coefficients, as a sampled spot check
     # calls it: blocks of 4096 terms, never a row of all of them
@@ -117,11 +161,13 @@ def test_oracle_temporaries_do_not_grow_with_the_input():
     f = rng.standard_normal(M1) + 1j * rng.standard_normal(M1)
     v = rng.uniform(-0.5, 0.5, M1)
     x = np.array([0.3])
-    nndft_direct(f, v, x, 1000)  # first call: one-time costs
-    tracemalloc.start()
-    try:
-        out = nndft_direct(f, v, x, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 256 * 1024 + out.nbytes
+    for oracle in (lambda: nndft_direct(f, v, x, 1000), lambda: ndft_direct(f, x),
+                   lambda: sinc_transform_direct(f, v, x, 1000)):
+        oracle()  # first call: one-time costs
+        tracemalloc.start()
+        try:
+            out = oracle()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024 + out.nbytes

@@ -13,8 +13,8 @@ from sincfft.direct import ndft_direct, nndft_direct, sinc_transform_direct
 from sincfft.errors import ParameterError
 from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
 from sincfft.nfft import nfft_adjoint, nfft_plan, nfft_trafo
-from sincfft.nnfft import (NnfftGeometry, nnfft_plan, nnfft_trafo,
-                           rescale_frequencies)
+from sincfft.nnfft import (NnfftGeometry, fast_bandwidth, nnfft_plan,
+                           nnfft_trafo, rescale_frequencies)
 from sincfft.cli import main
 from sincfft.windows import WindowSpec, check_window
 
@@ -86,6 +86,10 @@ BAD_PARAMETERS = {
     # the 10^5 that the search may try
     "rescale_frequencies-no-bandwidth": lambda: rescale_frequencies(
         10, GOOD, 1.0000001, 2),
+    # FFT lengths sigma1 N* of 2^53 and more
+    "fast_bandwidth-huge-sigma1": lambda: fast_bandwidth(10, 1e300, 2),
+    "fast_bandwidth-huge-N": lambda: fast_bandwidth(10**20, 2.0, 2),
+    "fast_bandwidth-huge-length": lambda: fast_bandwidth(10, 1e17, 2),
     "sinc_transform_direct-nan": lambda: sinc_transform_direct(
         np.ones(4), np.where(GOOD == 0.0, NAN, GOOD), GOOD, 16),
     "sinc_transform_direct-nan-coefficient": lambda: sinc_transform_direct(

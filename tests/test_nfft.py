@@ -214,8 +214,10 @@ def test_every_grid_parameter_gives_its_own_entry(change):
 
 def test_grid_tables_are_read_only_and_live_only_while_a_plan_holds_them():
     rng = np.random.default_rng(6)
-    plan = nfft_plan(32, rng.uniform(-0.5, 0.5, 8))
-    last = nfft_plan(32, rng.uniform(-0.5, 0.5, 3))
+    # parameters no other test here uses: a failed test's traceback may
+    # keep its plans, and so their grid tables, alive
+    plan = nfft_plan(24, rng.uniform(-0.5, 0.5, 8), sigma=1.75, m=3)
+    last = nfft_plan(24, rng.uniform(-0.5, 0.5, 3), sigma=1.75, m=3)
     for arr in (plan.deconv, plan.twiddle):
         with pytest.raises(ValueError):
             arr[0] = 1
@@ -227,14 +229,14 @@ def test_grid_tables_are_read_only_and_live_only_while_a_plan_holds_them():
 
 
 def _nfft_pair(rng, x):
-    plan = nfft_plan(64, x, sigma=1.5, m=5)
+    plan = nfft_plan(64, x, sigma=1.75, m=5)
     c = rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)
     y = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
     return plan, plan, (nfft_trafo(plan, c), nfft_adjoint(plan, y))
 
 
 def _nnfft_one(rng, x):
-    plan = nnfft_plan(32, np.linspace(-0.4, 0.4, 11), x, m1=3, m2=3)
+    plan = nnfft_plan(32, np.linspace(-0.4, 0.4, 11), x, m1=4, m2=3, sigma2=1.75)
     f = rng.standard_normal(11) + 1j * rng.standard_normal(11)
     return plan, plan.stage2, (nnfft_trafo(plan, f),)
 
@@ -242,6 +244,7 @@ def _nnfft_one(rng, x):
 @pytest.mark.parametrize("transform", [_nfft_pair, _nnfft_one],
                          ids=["nfft_trafo-nfft_adjoint", "nnfft_trafo"])
 def test_outputs_are_the_same_with_and_without_a_live_twin(transform):
+    # both transforms use grid parameters no other test here uses
     rng = np.random.default_rng(7)
     x = rng.uniform(-0.5, 0.5, 40)
     alone, stage, outputs = transform(np.random.default_rng(8), x)
