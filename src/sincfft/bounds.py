@@ -2,7 +2,9 @@
 
 All bounds are worst-case constants per unit coefficient mass: an
 algorithm whose bound is ``E`` satisfies
-``max_j |exact_j - computed_j| <= E * sum_k |c_k|``.
+``max_j |exact_j - computed_j| <= E * sum_k |c_k|`` in exact arithmetic.
+They count truncation only: float64 rounding comes on top, and at large
+cut-offs it exceeds them.
 
 The sinc-surrogate bound decays like ``e^{-N (nu - C)}`` with the decay
 threshold ``C = pi (e^2 - 1) / (2 e) = pi sinh(1) ~= 3.692``: the
@@ -117,56 +119,45 @@ def choose_n(N, epsilon):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound ingredients for one parameter set, fully assembled.
+    """The certificate of the fast sinc transform for one parameter set:
+    the surrogate level ``epsilon``, the constants ``e1``/``e2`` of the two
+    windows (:func:`bound_sinh_E`), ``a = 1 + 2 m1/N1``, ``hat_phi1_half``,
+    ``b_term = B = e1 + a e2 / hat_phi1_half``, ``nnfft_bound``
+    (:func:`bound_nnfft_sinh`), the guaranteed ``full = epsilon + 2B + B^2``
+    and ``simplified = epsilon + 3 e1 + 3 a e2 / hat_phi1_half``, which
+    holds where ``simplified_valid`` (``B <= 1``)."""
 
-    ``epsilon`` is the surrogate level the fast sinc bounds use and
-    ``b_term = B = e1 + a e2 / hat_phi1_half`` the two-stage constant of
-    the guaranteed bound ``fast_sinc_bound_full = epsilon + 2B + B^2``.
-    """
-
-    N: int
-    m1: int
-    m2: int
-    sigma1: float
-    sigma2: float
-    nu: float
+    epsilon: float
     e1: float
     e2: float
-    hat_phi1_half: float
     a: float
-    nnfft_bound: float
-    cc_bound: float
-    epsilon: float
+    hat_phi1_half: float
     b_term: float
-    fast_sinc_bound_full: float
-    fast_sinc_bound_simplified: float
+    nnfft_bound: float
+    full: float
+    simplified: float
     simplified_valid: bool
 
 
 def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
-    """Assemble a :class:`BoundReport`.
+    """Assemble the :class:`BoundReport` at bandwidth ``N``.
 
-    ``epsilon`` defaults to the surrogate bound at oversampling ``nu``; a
-    NaN, infinite or negative ``epsilon`` raises :class:`ParameterError`.
-    The simplified bound ``epsilon + 3 e1 + 3 a e2 / hat_phi1_half`` is
-    reported even when its condition ``b_term <= 1`` fails;
-    ``simplified_valid`` says whether it may be used.  Raises
-    :class:`ParameterError` where the surrogate bound (``nu`` far below
-    the decay threshold) or the full bound (``N`` beyond 1e160) overflows.
+    ``epsilon`` defaults to the surrogate bound :func:`bound_cc_sinc` at
+    ``N`` and oversampling ``nu``, and is computed only then.  Raises
+    :class:`ParameterError` for a NaN, infinite or negative ``epsilon``,
+    the default included (it overflows for ``nu`` far below the decay
+    threshold), and where the full bound overflows (``N`` beyond 1e160).
     """
     nnfft = bound_nnfft_sinh(N, sigma1, sigma2, m1, m2)  # checks the parameters
     e1 = bound_sinh_E(m1, sigma1)
     e2 = bound_sinh_E(m2, sigma2)
     hat = hat_phi_sinh_at_half(N, sigma1, m1)
     a = 1.0 + 2.0 * m1 / (sigma1 * N)
-    cc = bound_cc_sinc(N, nu)
-    if cc == math.inf:
-        raise ParameterError(
-            f"bound_report: the surrogate bound overflows at N = {N}, nu = {nu:g} "
-            f"(decay threshold {SINC_DECAY_CONSTANT:.4f})")
-    eps = cc if epsilon is None else float(epsilon)
+    eps = bound_cc_sinc(N, nu) if epsilon is None else float(epsilon)
     if not 0.0 <= eps < math.inf:  # NaN included
-        raise ParameterError("bound_report: epsilon must be finite and >= 0")
+        raise ParameterError(
+            f"bound_report: epsilon must be finite and >= 0, got {eps}; the "
+            f"surrogate bound overflows for nu far below {SINC_DECAY_CONSTANT:.4f}")
     # e2/hat, with e2 decaying faster than hat; once hat leaves the normal
     # range (m1 in the thousands) the quotient is formed in the exponent
     num, den = e2, hat
@@ -177,11 +168,7 @@ def bound_report(N, m1, m2, sigma1, sigma2, nu, epsilon=None):
     full = eps + 2.0 * B + B * B
     if full == math.inf:
         raise ParameterError(f"bound_report: the fast sinc bound overflows at N = {N}")
-    return BoundReport(
-        N=int(N), m1=int(m1), m2=int(m2), sigma1=float(sigma1),
-        sigma2=float(sigma2), nu=float(nu), e1=e1, e2=e2, hat_phi1_half=hat,
-        a=a, nnfft_bound=nnfft,
-        cc_bound=cc, epsilon=eps, b_term=B,
-        fast_sinc_bound_full=full,
-        fast_sinc_bound_simplified=eps + 3.0 * e1 + 3.0 * a * num / den,
-        simplified_valid=bool(B <= 1.0))
+    return BoundReport(epsilon=eps, e1=e1, e2=e2, a=a, hat_phi1_half=hat,
+                       b_term=B, nnfft_bound=nnfft, full=full,
+                       simplified=eps + 3.0 * e1 + 3.0 * a * num / den,
+                       simplified_valid=bool(B <= 1.0))

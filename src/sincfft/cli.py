@@ -136,8 +136,7 @@ def _bounds_rows(args):
                    nnfft_bound=rep.nnfft_bound,
                    **{f"cc_bound_nu{nu}": _bounds.bound_cc_sinc(N, float(nu))
                       for nu in args.nu},
-                   fast_sinc_full=rep.fast_sinc_bound_full,
-                   fast_sinc_simplified=rep.fast_sinc_bound_simplified,
+                   fast_sinc_full=rep.full, fast_sinc_simplified=rep.simplified,
                    assump_ok=rep.simplified_valid)
 
 

@@ -23,6 +23,7 @@ nodes times the weights times stage 3's spread from them, with about
 
 import enum
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import scipy.sparse
@@ -94,33 +95,20 @@ class SincPlan:
         """Closed-form accuracy certificate for this plan.
 
         Only available with sinh windows and ``m2 >= m1``, where the
-        two-stage bound holds; assembled by
-        :func:`sincfft.bounds.bound_report`.  Returns a dict with the
-        surrogate level ``epsilon``, the stage constants ``e1``/``e2``,
-        ``a`` and ``hat_phi1_half`` of the rescaled inner geometry, the
-        guaranteed ``full`` bound, the ``simplified`` bound and the flag
-        ``simplified_valid`` telling whether the latter applies.  All
-        bounds are per unit ``sum_k |c_k|``.
+        two-stage bound holds.  Returns the fields of the
+        :class:`~sincfft.bounds.BoundReport` at the rescaled inner geometry
+        as a dict, ``nnfft_bound`` included, with ``epsilon`` the surrogate
+        bound at ``N``.  All bounds are per unit ``sum_k |c_k|`` and count
+        truncation only; float64 rounding comes on top of them.
         """
         if self.window1 != "sinh" or self.window2 != "sinh":
             raise ParameterError(
                 "error_bound: closed-form bounds require sinh windows")
         geo = self.inner_geometry
         nu = self.n / self.N
-        rep = _bounds.bound_report(
+        return asdict(_bounds.bound_report(
             geo.N, self.m1, self.m2, self.sigma1, geo.sigma2, nu,
-            epsilon=_bounds.bound_cc_sinc(self.N, nu))
-        return {
-            "epsilon": rep.epsilon,
-            "e1": rep.e1,
-            "e2": rep.e2,
-            "a": rep.a,
-            "hat_phi1_half": rep.hat_phi1_half,
-            "b_term": rep.b_term,
-            "full": rep.fast_sinc_bound_full,
-            "simplified": rep.fast_sinc_bound_simplified,
-            "simplified_valid": rep.simplified_valid,
-        }
+            epsilon=_bounds.bound_cc_sinc(self.N, nu)))
 
 
 # (sources on the grid, targets on the grid) -> mode

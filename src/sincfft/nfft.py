@@ -21,6 +21,7 @@ Only those tables depend on the nodes: the plans of one degree and window
 alive at a time share one node-free plan, with its ``deconv`` and ``twiddle``.
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -135,7 +136,7 @@ def grid_length(n, sigma, m):
     ``m``, or ``None`` unless it is an even integer (within 1e-9) with
     ``4 m <= sigma * n``; a non-finite ``sigma * n`` raises
     :class:`ParameterError`."""
-    if not np.isfinite(sigma * n):
+    if not math.isfinite(sigma * n):
         raise ParameterError(f"sigma * n must be finite, got sigma = {sigma}")
     n_grid = int(round(sigma * n))
     if abs(sigma * n - n_grid) > 1e-9 or n_grid % 2 or 4 * m > n_grid:

@@ -127,14 +127,19 @@ def fast_bandwidth(N, sigma1, m1):
     start = int(N) + math.ceil(2 * m1 / sigma1)
     if not sigma1 * start < 2.0 ** 53:
         raise ParameterError(f"sigma1 * N must be below 2^53, got {sigma1} * {N}")
-    # K grows with N*: the fast lengths from sigma1 * start on, in turn,
-    # each with the one N* that could give it, among 100000 N* and below
-    # 2^53, where floats stop holding every length
+    # K grows with N*: fast lengths from sigma1 * start on, each with the
+    # one N* that could give it, among 100000 N* and below 2^53, where
+    # floats stop holding every length; only K = N1 + 2 m1 gives an N*, so
+    # the scan goes on there, at the next N*'s K, or where its lengths begin
     K = scipy.fft.next_fast_len(int(sigma1 * start) + 2 * m1)
     while K < 2 ** 53 and (n_star := round((K - 2 * m1) / sigma1)) < start + 100000:
-        if n_star >= start and grid_length(n_star, sigma1, m1) == K - 2 * m1:
+        N1 = grid_length(n_star, sigma1, m1) if n_star >= start else None
+        if N1 == K - 2 * m1:
             return n_star
-        K = scipy.fft.next_fast_len(K + 1)
+        if N1 is None or N1 + 2 * m1 < K:
+            n_next = max(n_star + 1, start)
+            N1 = grid_length(n_next, sigma1, m1) or int(sigma1 * (n_next - 1)) + 1
+        K = scipy.fft.next_fast_len(max(N1 + 2 * m1, K + 1))
     raise ParameterError(f"no admissible bandwidth found for sigma1={sigma1}")
 
 
@@ -146,6 +151,8 @@ def rescale_frequencies(N, v, sigma1, m1):
     (:func:`fast_bandwidth`) and ``v_star = (v * N) / N_star``, which keeps
     every product ``N_star * v_star_k`` within one rounding of ``N * v_k``
     and guarantees ``|v_star| <= 1/(2 a_star)`` for the enlarged bandwidth.
+    A ``sigma1`` with two decimals puts ``N_star`` on multiples of its
+    denominator, far above ``N``: ``fast_bandwidth(16, 1.81, 6)`` is 2400.
     """
     integer(N, "rescale_frequencies: N")
     v = as_nodes(v, "rescale_frequencies: v")

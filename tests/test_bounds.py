@@ -108,34 +108,33 @@ def test_fast_sinc_bound_forms():
     rep = bounds.bound_report(1200, 4, 6, 2.0, 1.5, 4.0, epsilon=eps)
     B = rep.e1 + rep.a * rep.e2 / rep.hat_phi1_half
     assert rep.epsilon == eps and rep.b_term == B < 1.0
-    assert rep.fast_sinc_bound_full == pytest.approx(eps + 2 * B + B * B, rel=1e-15)
+    assert rep.full == pytest.approx(eps + 2 * B + B * B, rel=1e-15)
     # the full form holds also for B > 1, where the simplified one does not
     rep = bounds.bound_report(128, 2, 2, 1.25, 1.25, 4.0, epsilon=eps)
     B = rep.b_term
     assert B > 1.0 and not rep.simplified_valid
-    assert rep.fast_sinc_bound_full == pytest.approx(eps + 2 * B + B * B, rel=1e-15)
-    assert rep.fast_sinc_bound_full > 1.0
+    assert rep.full == pytest.approx(eps + 2 * B + B * B, rel=1e-15)
+    assert rep.full > 1.0
 
 
 def test_bound_report_assembles_consistently():
     rep = bounds.bound_report(128, 6, 6, 2.0, 2.0, 4.0)
     assert rep.e1 == bounds.bound_sinh_E(6, 2.0)
-    assert rep.cc_bound == bounds.bound_cc_sinc(128, 4.0)
+    # epsilon defaults to the cc level
+    assert rep.epsilon == bounds.bound_cc_sinc(128, 4.0)
     assert rep.nnfft_bound == bounds.bound_nnfft_sinh(128, 2.0, 2.0, 6, 6)
     B = rep.e1 + rep.a * rep.e2 / rep.hat_phi1_half
-    assert rep.b_term == B and rep.epsilon == rep.cc_bound
-    assert rep.fast_sinc_bound_full == pytest.approx(
-        rep.cc_bound + 2 * B + B * B, rel=1e-15)
-    assert rep.fast_sinc_bound_simplified == pytest.approx(
-        rep.cc_bound + 3 * rep.e1 + 3 * rep.a * rep.e2 / rep.hat_phi1_half,
+    assert rep.b_term == B
+    assert rep.full == pytest.approx(rep.epsilon + 2 * B + B * B, rel=1e-15)
+    assert rep.simplified == pytest.approx(
+        rep.epsilon + 3 * rep.e1 + 3 * rep.a * rep.e2 / rep.hat_phi1_half,
         rel=1e-15)
     assert rep.simplified_valid
-    assert rep.fast_sinc_bound_full <= rep.fast_sinc_bound_simplified
+    assert rep.full <= rep.simplified
     # explicit epsilon overrides the cc level
     rep2 = bounds.bound_report(128, 6, 6, 2.0, 2.0, 4.0, epsilon=1e-3)
-    assert rep2.epsilon == 1e-3 and rep2.cc_bound == rep.cc_bound
-    assert rep2.fast_sinc_bound_full == pytest.approx(1e-3 + 2 * B + B * B,
-                                                      rel=1e-12)
+    assert rep2.epsilon == 1e-3
+    assert rep2.full == pytest.approx(1e-3 + 2 * B + B * B, rel=1e-12)
 
 
 def test_parameter_rejections():
@@ -157,7 +156,7 @@ def test_large_cutoffs_reference_case():
     assert bounds.bound_nnfft_sinh(128, 2.0, 2.0, 3000, 3000) == 0.0
     rep = bounds.bound_report(128, 3000, 3000, 2.0, 2.0, 4.0)
     assert rep.hat_phi1_half == 0.0 and rep.b_term == 0.0
-    assert rep.fast_sinc_bound_full == rep.cc_bound
+    assert rep.full == rep.epsilon == bounds.bound_cc_sinc(128, 4.0)
 
 
 @settings(max_examples=300, deadline=None)

@@ -199,6 +199,8 @@ def _error_bound_by_hand(plan):
     b_term = e1 + geo.a * e2 / hat
     return {"epsilon": epsilon, "e1": e1, "e2": e2, "a": geo.a,
             "hat_phi1_half": hat, "b_term": b_term,
+            "nnfft_bound": bounds.bound_nnfft_sinh(
+                geo.N, plan.sigma1, geo.sigma2, plan.m1, plan.m2),
             "full": epsilon + 2.0 * b_term + b_term * b_term,
             "simplified": epsilon + 3.0 * e1 + 3.0 * geo.a * e2 / hat,
             "simplified_valid": bool(b_term <= 1.0)}
@@ -218,6 +220,32 @@ def test_error_bound_is_the_bound_report(layout):
     assert cert["simplified_valid"] is ref["simplified_valid"]
     for key in ref.keys() - {"simplified_valid"}:
         assert abs(cert[key] - ref[key]) <= np.spacing(ref[key]), key
+
+
+def test_error_bound_takes_the_surrogate_at_N_only():
+    # epsilon is the surrogate bound at N; at N* = 264 it overflows, and
+    # the certificate does not need it
+    rng = np.random.default_rng(14)
+    a = _random_nodes(rng, 16)
+    plan = sinc_plan(256, a, a, n=256)
+    cert = plan.error_bound()
+    assert cert["epsilon"] == bounds.bound_cc_sinc(256, 1.0)
+    assert bounds.bound_cc_sinc(plan.n_star, 1.0) == np.inf
+    assert np.isfinite(cert["full"])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: the bounds count truncation only; at m1 = m2 = 12 the float64 "
+    "rounding of the transform, about 1e-15 of sum|c|, exceeds the "
+    "certified full = 1.8e-16 (ROADMAP item 8)"))
+def test_rounding_stays_below_the_certificate():
+    rng = np.random.default_rng(0)
+    a, b = _grid(24), _random_nodes(rng, 64)
+    c = rng.uniform(-1, 1, 24) + 1j * rng.uniform(-1, 1, 24)
+    plan = sinc_plan(8, a, b, m1=12, m2=12, epsilon=1e-8)
+    assert plan.mode is SincMode.EQUISPACED_SOURCES
+    err = np.max(np.abs(fast_sinc_transform(plan, c) - sinc_transform_direct(c, a, b, 8)))
+    assert err <= plan.error_bound()["full"] * np.sum(np.abs(c))
 
 
 def test_error_bound_requires_m2_at_least_m1():
