@@ -105,9 +105,9 @@ def stencil_table(spec, u, shift=None):
     ``u = n x`` (``n = spec.n_grid``, ``t_j = u_j - floor(u_j)``), as
     C-contiguous ``(M, 2m)`` tables.  The positions wrap onto ``0 .. n-1``
     (``shift=None``) or are moved by ``shift``.  The weights are the rows
-    :func:`~sincfft.windows.phi_rows` makes of the fractions ``t_j``
-    straight into the weight table, and a row with ``t_j = 0`` ends in the
-    window's exact zero at ``-m/n``."""
+    :func:`~sincfft.windows.phi_rows` makes of the fractions ``t_j``: BLAS
+    products of powers of ``t_j`` with a matrix cached per ``(kind, m,
+    sigma)``, within 1e-15 of the window, with exact zeros at both ends."""
     m, n = spec.m, spec.n_grid
     base = np.floor(u)
     start = base.astype(np.int32) + (1 - m if shift is None else 1 - m + shift)

@@ -21,19 +21,18 @@ Two shapes are provided, both continuous on the real line:
 
 :func:`cardinal_bspline` evaluates the B-spline at ``-|x|`` by Horner's
 rule on one table of piece coefficients per order, so the tail pieces keep
-full relative accuracy down to the end of the support; :func:`phi_rows`
-evaluates every piece of a B-spline window row at once from that table.
+full relative accuracy down to the end of the support.
 
-:func:`phi_eval` fills one output in blocks of a fixed number of elements.
-A plan tabulates millions of window values at once and each shape formula
-needs several temporaries; per block they stay in cache and take constant
-memory instead of growing with the table.  Each shape's kernel computes
-only what that shape needs, elementwise in the same order of operations,
-so the values do not depend on the blocking.  Non-finite arguments raise
-:class:`ParameterError`; huge finite ones lie outside the support.  A
-plan's table, the ``2m`` values around each node, depends only on the
-node's fraction of a grid step: :func:`phi_rows` makes it from the
-fractions, with no table of arguments.
+:func:`phi_eval`, the closed form, fills one output in blocks of a fixed
+number of elements, so its temporaries stay in cache; every element takes
+the same operations, so the values do not depend on the blocking.
+Non-finite arguments raise :class:`ParameterError`; huge finite ones lie
+outside the support.  A plan's table, the ``2m`` values around each node,
+depends only on the node's fraction ``t`` of a grid step, and each of its
+columns is a polynomial in ``t`` or in ``1 - t``: :func:`phi_rows` makes a
+block of rows as BLAS products with a coefficient matrix cached per
+``(kind, m, sigma)``, within 1e-15 of the window, with exact zeros at both
+ends of the support.
 """
 
 import functools
@@ -42,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.fft
 from scipy import special as _sp
 
 from .errors import ParameterError, integer
@@ -172,31 +172,37 @@ def cardinal_bspline(order, x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-#: Elements per block of :func:`phi_eval` and :func:`phi_rows`: the block's
-#: few temporaries stay in cache and no temporary grows with the input.
+#: Elements per block of :func:`phi_eval`: the block's few temporaries stay
+#: in cache and no temporary grows with the input.
 _BLOCK = 16384
+#: Degree of a sinh column polynomial in :func:`phi_rows`, and the most
+#: multiply-adds of its block products: OpenBLAS runs up to 2^18 on one thread.
+_DEGREE = 17
+_GEMM = 1 << 18
 
 
 def _sinh_kernel(spec):
     b = spec.beta
-    c = -np.expm1(-2.0 * b)
+    c = np.expm1(-2.0 * b)
 
     def kernel(y, tmp):
-        # y -> s = sqrt(max(1 - y^2, 0)) in place, 0 for |y| >= 1 (also for
-        # the arguments of phi_rows that round to just above 1), then
-        # sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
-        # stable for large b
-        np.multiply(y, y, out=y)
-        np.subtract(1.0, y, out=y)
+        # y -> s = sqrt(max((1 - y)(1 + y), 0)) in place, 0 for |y| >= 1,
+        # then sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
+        # stable for large b, with b(s - 1) = -b y^2/(1 + s): no cancellation
+        sq, w = tmp
+        np.multiply(y, y, out=sq)
+        np.subtract(1.0, y, out=w)
+        np.add(y, 1.0, out=y)
+        np.multiply(y, w, out=y)
         np.maximum(y, 0.0, out=y)
         np.sqrt(y, out=y)
-        np.multiply(y, -2.0 * b, out=tmp)
-        np.expm1(tmp, out=tmp)
-        np.negative(tmp, out=tmp)
-        np.subtract(y, 1.0, out=y)
-        np.multiply(y, b, out=y)
-        np.exp(y, out=y)
-        np.multiply(y, tmp, out=y)
+        np.add(y, 1.0, out=w)
+        np.divide(sq, w, out=sq)
+        np.multiply(sq, -b, out=sq)
+        np.exp(sq, out=sq)
+        np.multiply(y, -2.0 * b, out=y)
+        np.expm1(y, out=y)
+        np.multiply(y, sq, out=y)
         np.divide(y, c, out=y)
     return kernel
 
@@ -275,7 +281,7 @@ def phi_eval(spec, t):
     out = np.empty(arr.shape)
     dst = out.reshape(-1)
     kernel = _KERNELS[spec.kind](spec)
-    tmp = np.empty(min(_BLOCK, src.size))
+    tmp = np.empty((2, min(_BLOCK, src.size)))
     lim = 2.0 * width
     for start in range(0, src.size, _BLOCK):
         block = src[start:start + _BLOCK]
@@ -285,8 +291,41 @@ def phi_eval(spec, t):
         np.clip(block, -lim, lim, out=y)
         # an argument of +-width, however rounded, maps to exactly +-1
         np.divide(y, width, out=y)
-        kernel(y, tmp[:y.size])
+        kernel(y, tmp[:, :y.size])
     return float(dst[0]) if arr.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=32)
+def _row_coefficients(kind, m, sigma):
+    # (c, read-only (d + 1, 2m) matrix): row q holds the coefficient of
+    # (u - c)^(d - q) of every column, column m + j at u = t and its mirror
+    # m - 1 - j at u = 1 - t; the sinh end columns leave out sqrt(u(2m - u))
+    if kind == "bspline":  # column m + j is piece m - 1 - j, over B_2m(0)
+        pieces = _bspline_pieces(2 * m)
+        c, half = 0.0, pieces[:, m - 1::-1] / pieces[-1, m]
+    else:
+        spec = WindowSpec(kind, m, sigma, 2 * m)
+        n = _DEGREE + 1
+        u = (1.0 + np.cos(np.pi * (np.arange(n) + 0.5) / n)) / 2.0
+        # column m + j is omega((j + 1 - u)/m), the end column over its
+        # root m s: sinh(b s)/(m s sinh b), entire in u
+        f = phi_eval(spec, (np.arange(1, m + 1)[:, None] - u) / (2 * m))
+        s, b = np.sqrt(u * (2 * m - u)) / m, spec.beta
+        f[-1] = (np.exp(-b * (1.0 - u / m) ** 2 / (1.0 + s))
+                 * np.expm1(-2.0 * b * s) / (np.expm1(-2.0 * b) * m * s))
+        # Chebyshev coefficients from the first-kind points, then monomials
+        # in w = u - 1/2, where terms fall off fastest: T_k = 4w T_k-1 - T_k-2
+        cheb = scipy.fft.dct(f, type=2, axis=1) / n
+        cheb[:, 0] /= 2.0
+        mono = np.zeros((n, n))
+        mono[0, 0], mono[1, 1] = 1.0, 2.0
+        for k in range(2, n):
+            mono[:, k] = -mono[:, k - 2]
+            mono[1:, k] += 4.0 * mono[:-1, k - 1]
+        c, half = 0.5, (mono @ cheb.T)[::-1]
+    coef = np.concatenate((half[:, ::-1], half), axis=1)
+    coef.flags.writeable = False
+    return c, coef
 
 
 def phi_rows(spec, t):
@@ -294,52 +333,38 @@ def phi_rows(spec, t):
     ``(t.size, 2m)`` array ``phi((t_j - l) / n_grid)``, ``l = 1-m+i`` in
     column ``i``.
 
-    Filled ``_BLOCK`` elements at a time, with no table of arguments.  The
-    sinh arguments ``(t_j/n + (-l)/n) / (m/n)`` lie in
-    ``[-1, 1]`` up to rounding and run the kernel of :func:`phi_eval`
-    without its checks: the values are ``phi_eval(spec, t_j/n + (-l)/n)``
-    bit for bit.  The B-spline column ``l >= 1`` is piece ``m - l`` at
-    ``u = t_j`` and column ``l <= 0`` piece ``m + l - 1`` at ``u = 1 - t_j``,
-    by Horner's rule over all pieces at once.  A row with ``t_j = 0`` ends
-    in the window's exact zero.
+    Column ``m + k`` is a polynomial in ``u = t_j`` and, the window being
+    even, column ``m - 1 - k`` the same one in ``u = 1 - t_j``: per block of
+    rows and half, a table of descending powers of ``u`` (of ``u - 1/2`` for
+    sinh) times a coefficient matrix in one BLAS product, small enough for
+    one thread.  The matrices, made once per ``(kind, m, sigma)``, hold the
+    B-spline pieces in the outer breakpoint's coordinate, or sinh Chebyshev
+    interpolants of degree ``_DEGREE``, whose end columns are then times
+    ``sqrt(u(2m - u))``, the branch point.  A row with ``t_j = 0`` (``1``)
+    ends (starts) in an exact zero; the values lie within 1e-15 of the
+    window at ``(t_j - l)/n_grid``.
     """
-    m, n = spec.m, spec.n_grid
+    if t.size == 1:  # no product has one row, which BLAS rounds differently
+        return phi_rows(spec, np.repeat(t, 2))[:1]
+    m = spec.m
+    centre, coef = _row_coefficients(spec.kind, m, spec.sigma)
+    rows = max(2, _GEMM // (m * coef.shape[0]))
     out = np.empty((t.size, 2 * m))
-    rows = max(1, _BLOCK // (2 * m))
-    size = min(rows, t.size)
-    if spec.kind == "bspline":
-        coef = _bspline_pieces(2 * m)
-        # coefficient row i of the pieces of the two column halves, (2, m, 1)
-        c = np.stack((coef[:, :m], coef[:, m - 1::-1]), axis=1)[..., None]
-        b0 = cardinal_bspline(2 * m, 0.0)
-        u = np.empty((2, 1, size))
-        acc = np.empty((2, m, size))
-        for lo in range(0, t.size, rows):
-            tb = t[lo:lo + rows]
-            uk, ak = u[..., :tb.size], acc[..., :tb.size]
-            np.subtract(1.0, tb, out=uk[0, 0])
-            uk[1, 0] = tb
-            np.multiply(uk, c[0], out=ak)
-            for ci in c[1:-1]:
-                ak += ci
-                ak *= uk
-            ak += c[-1]
-            np.divide(ak.transpose(2, 0, 1), b0,
-                      out=out[lo:lo + tb.size].reshape(-1, 2, m))
-        return out
-    kernel = _KERNELS[spec.kind](spec)
-    # (-l)/n of every column, repeated for one block of rows
-    pattern = np.tile(np.arange(m - 1.0, -m - 1.0, -1.0) / n, size)
-    tmp = np.empty(pattern.size)
-    a = np.empty(size)
+    pw = np.ones((coef.shape[0], min(rows, t.size)))
     for lo in range(0, t.size, rows):
+        lo = min(lo, t.size - 2)  # nor a last block of one row
         tb = t[lo:lo + rows]
-        np.divide(tb, n, out=a[:tb.size])
-        np.copyto(out[lo:lo + rows], a[:tb.size, None])
-        y = out[lo:lo + rows].reshape(-1)
-        y += pattern[:y.size]
-        np.divide(y, m / n, out=y)
-        kernel(y, tmp[:y.size])
+        p = pw[:, :tb.size]  # descending powers: the largest term goes last
+        for cols, end, u in ((slice(m, None), -1, tb),
+                             (slice(0, m), 0, np.subtract(1.0, tb))):
+            np.subtract(u, centre, out=p[-2])
+            for q in range(p.shape[0] - 3, -1, -1):
+                np.multiply(p[q + 1], p[-2], out=p[q])
+            np.matmul(p.T, coef[:, cols], out=out[lo:lo + tb.size, cols])
+            if spec.kind == "sinh":
+                np.subtract(2.0 * m, u, out=p[0])
+                p[0] *= u
+                out[lo:lo + tb.size, end] *= np.sqrt(p[0], out=p[0])
     return out
 
 

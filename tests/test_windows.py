@@ -1,18 +1,22 @@
 """Window shapes: membership in the admissible set and transform accuracy."""
 
+import functools
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sincfft import windows
 from sincfft.errors import ParameterError
-from sincfft.windows import (_BLOCK, WindowSpec, cardinal_bspline,
-                             omega_hat_eval, phi_eval, phi_hat_eval, phi_rows,
-                             window_kinds)
+from sincfft.windows import (_BLOCK, WindowSpec, omega_hat_eval, phi_eval,
+                             phi_hat_eval, phi_rows, window_kinds)
 
 SPECS = {
     "sinh": WindowSpec("sinh", 4, 2.0, 64),
@@ -193,58 +197,156 @@ def test_huge_finite_argument_is_outside_the_support(kind):
             assert np.all(evaluate(spec, x) == 0.0)
 
 
-def _row_arguments(spec, t):
-    # (t_j - l)/n for l = 1-m .. m, rounded as t_j/n + (-l)/n
-    return (t[:, None] / spec.n_grid
-            + np.arange(spec.m - 1.0, -spec.m - 1.0, -1.0) / spec.n_grid)
+def _sinh_exact(m, sigma, ys):
+    # the sinh shape sinh(b sqrt(1 - y^2))/sinh(b) at the exact rationals ys,
+    # by mpmath at 40 digits
+    with mpmath.workdps(40):
+        b = 2 * mpmath.pi * m * (1 - 1 / (2 * mpmath.mpf(sigma)))
+        v = [mpmath.mpf(y.numerator) / y.denominator for y in ys]
+        return [float(mpmath.sinh(b * mpmath.sqrt(1 - y * y)) / mpmath.sinh(b))
+                if abs(y) < 1 else 0.0 for y in v]
 
 
-# fractions with at most 44 bits, so that t - l is exact for |l| <= 10
+def _exact_rows(spec, t):
+    # phi((t_j - l)/n), l = 1-m .. m, at the exact arguments of the float
+    # fractions t: mpmath for sinh, exact rationals for the B-spline (its
+    # truncated-power form over B_2m(0))
+    m = spec.m
+    args = [Fraction(tj) - l for tj in t for l in range(1 - m, m + 1)]
+    if spec.kind == "bspline":
+        order = 2 * m
+
+        def bspline(x):
+            x += m
+            return sum((-1) ** k * math.comb(order, k) * (x - k) ** (order - 1)
+                       for k in range(order + 1) if x > k)
+        b0 = bspline(Fraction(0))
+        rows = [float(bspline(x) / b0) for x in args]
+    else:
+        rows = _sinh_exact(m, spec.sigma, [x / m for x in args])
+    return np.reshape(rows, (t.size, 2 * m))
+
+
+# fractions with at most 44 bits, so that t - l and 1 - t are exact
 _DYADIC = st.one_of(st.integers(0, 2**44).map(lambda k: k / 2**44),
                     st.sampled_from([0.0, 1.0 - 2.0**-44, 1.0]))
 _FRACTIONS = st.one_of(
     st.floats(0.0, 1.0), _DYADIC,
-    st.sampled_from([np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 5e-324]))
+    st.sampled_from([np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 5e-324, 1e-13,
+                     1.0 - 1e-13]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(window_kinds()), m=st.integers(2, 10),
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(window_kinds()), m=st.integers(2, 16),
        sigma=st.sampled_from([1.25, 1.5, 2.0]), data=st.data())
 def test_phi_rows_match_the_window(kind, m, sigma, data):
-    # grids of any even length, and powers of two
+    """Within 1e-15 of the window at the exact arguments: sinh for m up to
+    16, the B-spline for m up to 10 (absolute, as the transforms' error is
+    absolute per unit sum of |coefficients|); exact zeros at both ends."""
+    if kind == "bspline":
+        m = min(m, 10)
     n = data.draw(st.one_of(
         st.integers(m, 2048).map(lambda k: 2 * k),
         st.integers((2 * m - 1).bit_length(), 16).map(lambda e: 2**e)))
     spec = WindowSpec(kind, m, sigma, n)
-    fractions = _DYADIC if kind == "bspline" else _FRACTIONS
-    t = np.array(data.draw(st.lists(fractions, min_size=1, max_size=40)))
+    t = np.array(data.draw(st.lists(_FRACTIONS, min_size=1, max_size=12)))
     rows = phi_rows(spec, t)
-    # a node on a grid point ends in the window's exact zero
+    assert rows.shape == (t.size, 2 * m) and rows.flags.c_contiguous
+    assert np.all(np.abs(rows - _exact_rows(spec, t)) <= 1e-15)
+    # a node on a grid point ends, one a step after it starts, in the
+    # window's exact zero
     assert np.all(rows[t == 0.0, -1] == 0.0)
-    if kind != "bspline":
-        assert np.array_equal(rows, phi_eval(spec, _row_arguments(spec, t)))
-        return
-    # the B-spline at the exact arguments t - l, within 2 ulp: the pieces
-    # meet at a breakpoint up to rounding, and t = 0 and t = 1 take the
-    # piece on the other side of it
-    ell = np.arange(1 - m, m + 1)
-    ref = cardinal_bspline(2 * m, t[:, None] - ell) / cardinal_bspline(2 * m, 0.0)
-    assert np.all(np.abs(rows - ref) <= 2 * np.spacing(ref))
-    inner = (t > 0.0) & (t < 1.0)
-    assert np.array_equal(rows[inner], ref[inner])
-    if m & (m - 1) == 0 and n & (n - 1) == 0:  # the arguments are exact
-        assert np.array_equal(rows[inner],
-                              phi_eval(spec, _row_arguments(spec, t[inner])))
+    assert np.all(rows[t == 1.0, 0] == 0.0)
 
 
 def test_phi_rows_clamp_rounded_arguments():
-    # at m = 3, n = 210 the first argument of t just below 1 rounds to
-    # 1 + 2^-52: the root is clamped to 0, where 1 - y^2 < 0 would give NaN
+    # at m = 3, n = 210 the first argument of t just below 1, rounded as
+    # t/n + (m-1)/n, is 1 + 2^-52 in units of m/n, outside the support; the
+    # row takes no rounded argument and keeps the true value, about 1.8e-13
     t = np.array([np.nextafter(1.0, 0.0), 1.0])
     spec = WindowSpec("sinh", 3, 2.0, 210)
-    assert np.all(_row_arguments(spec, t)[:, 0] / (3 / 210) > 1.0)
+    assert (t[0] / 210 + 2 / 210) / (3 / 210) > 1.0
     rows = phi_rows(spec, t)
-    assert np.all(np.isfinite(rows)) and np.all(rows[:, 0] == 0.0)
+    exact = _exact_rows(spec, t)
+    assert 1e-13 < exact[0, 0] < 1e-12
+    assert np.all(np.abs(rows - exact) <= 1e-15) and rows[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("kind", window_kinds())
+@pytest.mark.parametrize("m", [2, 3, 6, 9])
+def test_phi_rows_are_mirrored(kind, m):
+    """The window is even: the row of 1 - t is the row of t reversed, bit
+    for bit, where 1 - t is exact."""
+    spec = WindowSpec(kind, m, 1.5, 4 * m)
+    t = np.r_[np.random.default_rng(m).integers(0, 2**44, 300) / 2**44,
+              0.0, 0.5, 1.0]
+    assert np.array_equal(phi_rows(spec, 1.0 - t), phi_rows(spec, t)[:, ::-1])
+
+
+@pytest.mark.parametrize("kind", window_kinds())
+def test_phi_rows_fit_once_for_every_grid(kind, monkeypatch):
+    """The coefficient matrix depends on (kind, m, sigma), not on n_grid."""
+    fits = []
+    fit = windows._row_coefficients.__wrapped__
+
+    def counted(*key):
+        fits.append(key)
+        return fit(*key)
+    monkeypatch.setattr(windows, "_row_coefficients",
+                        functools.lru_cache(counted))
+    t = np.linspace(0.0, 1.0, 9)
+    rows = [phi_rows(WindowSpec(kind, 5, 1.5, n), t) for n in (10, 64, 4096)]
+    assert fits == [(kind, 5, 1.5)]
+    assert all(np.array_equal(rows[0], r) for r in rows[1:])
+
+
+@pytest.mark.parametrize("kind", window_kinds())
+@pytest.mark.parametrize("m", [2, 8, 16])
+def test_phi_rows_products_run_on_one_thread(kind, m, monkeypatch):
+    """Every block product has two rows or more (one row takes another BLAS
+    path, which rounds differently) and at most 2^18 multiply-adds, below
+    which OpenBLAS starts no thread."""
+    shapes = []
+    matmul = np.matmul
+
+    def recorded(a, b, **kw):
+        shapes.append(a.shape + b.shape[1:])
+        return matmul(a, b, **kw)
+    monkeypatch.setattr(np, "matmul", recorded)
+    spec = WindowSpec(kind, m, 2.0, 1 << 12)
+    degree = windows._row_coefficients(kind, m, 2.0)[1].shape[0] - 1
+    per_block = windows._GEMM // (m * (degree + 1))
+    for size in (1, per_block + 1, 3 * per_block):
+        phi_rows(spec, np.random.default_rng(size).uniform(0.0, 1.0, size))
+    assert shapes and all(r >= 2 and r * k * c <= 2**18 for r, k, c in shapes)
+
+
+def test_phi_rows_allocate_little_beyond_their_output():
+    """The block buffers are sized by the input: a sinc-paper stage table,
+    512 nodes at m = 6, takes at most 104 kB beside its rows."""
+    spec = WindowSpec("sinh", 6, 2.0, 4096)
+    t = np.random.default_rng(5).uniform(0.0, 1.0, 512)
+    phi_rows(spec, t)  # the coefficient matrix is made once
+    tracemalloc.start()
+    try:
+        out = phi_rows(spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 104_000
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 16])
+@pytest.mark.parametrize("sigma", [1.25, 1.5, 2.0])
+def test_sinh_window_agrees_with_mpmath(m, sigma):
+    """The closed form within 2^-52 of the window at its float arguments,
+    also within 1e-15 of the branch points +-1."""
+    spec = WindowSpec("sinh", m, sigma, 2 * m)  # phi(t) = omega(2 t)
+    y = np.r_[np.random.default_rng(m).uniform(-1.0, 1.0, 200), 0.0, 1e-8,
+              np.multiply.outer([-1.0, 1.0], 1.0 - np.array(
+                  [1e-15, 5e-16, 2.0**-53, 1e-13, 0.0])).ravel()]
+    exact = _sinh_exact(m, sigma, map(Fraction, y))
+    assert np.all(np.abs(phi_eval(spec, y / 2) - exact) <= 2.0**-52)
 
 
 @pytest.mark.parametrize("kind", window_kinds())
