@@ -122,17 +122,21 @@ def fast_bandwidth(N, sigma1, m1):
     is an even integer with ``4 m1 <= N1`` (as :class:`NnfftGeometry`
     requires) and ``K = N1 + 2 m1`` is a fast FFT length
     (``next_fast_len(K) == K``); with ``sigma2 = 2`` the FFT length ``2K``
-    then has no prime factor above 11."""
+    then has no prime factor above 11.  An ``N*`` above four times
+    ``max(N + ceil(2 m1/sigma1), ceil(4 m1/sigma1))`` raises
+    :class:`ParameterError`: it would plan grids far larger than ``N``
+    asks for."""
     check_window(None, m1, sigma1, "1")
     start = int(N) + math.ceil(2 * m1 / sigma1)
     if not sigma1 * start < 2.0 ** 53:
         raise ParameterError(f"sigma1 * N must be below 2^53, got {sigma1} * {N}")
+    cap = 4 * max(start, math.ceil(4 * m1 / sigma1))
     # K grows with N*: fast lengths from sigma1 * start on, each with the
-    # one N* that could give it, among 100000 N* and below 2^53, where
+    # one N* that could give it, up to the cap and below 2^53, where
     # floats stop holding every length; only K = N1 + 2 m1 gives an N*, so
     # the scan goes on there, at the next N*'s K, or where its lengths begin
     K = scipy.fft.next_fast_len(int(sigma1 * start) + 2 * m1)
-    while K < 2 ** 53 and (n_star := round((K - 2 * m1) / sigma1)) < start + 100000:
+    while K < 2 ** 53 and (n_star := round((K - 2 * m1) / sigma1)) <= cap:
         N1 = grid_length(n_star, sigma1, m1) if n_star >= start else None
         if N1 == K - 2 * m1:
             return n_star
@@ -140,7 +144,8 @@ def fast_bandwidth(N, sigma1, m1):
             n_next = max(n_star + 1, start)
             N1 = grid_length(n_next, sigma1, m1) or int(sigma1 * (n_next - 1)) + 1
         K = scipy.fft.next_fast_len(max(N1 + 2 * m1, K + 1))
-    raise ParameterError(f"no admissible bandwidth found for sigma1={sigma1}")
+    raise ParameterError(f"no admissible bandwidth up to {cap} for sigma1={sigma1}; with "
+                         "1.25, 1.5, 1.75 or 2, sigma1 N is even at every N divisible by 8")
 
 
 def rescale_frequencies(N, v, sigma1, m1):
@@ -151,8 +156,8 @@ def rescale_frequencies(N, v, sigma1, m1):
     (:func:`fast_bandwidth`) and ``v_star = (v * N) / N_star``, which keeps
     every product ``N_star * v_star_k`` within one rounding of ``N * v_k``
     and guarantees ``|v_star| <= 1/(2 a_star)`` for the enlarged bandwidth.
-    A ``sigma1`` with two decimals puts ``N_star`` on multiples of its
-    denominator, far above ``N``: ``fast_bandwidth(16, 1.81, 6)`` is 2400.
+    A two-decimal ``sigma1`` can put ``N_star`` past the cap of
+    :func:`fast_bandwidth`, which raises (``N = 16``, ``sigma1 = 1.81``).
     """
     integer(N, "rescale_frequencies: N")
     v = as_nodes(v, "rescale_frequencies: v")

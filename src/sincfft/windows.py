@@ -23,9 +23,10 @@ Two shapes are provided, both continuous on the real line:
 rule on one table of piece coefficients per order, so the tail pieces keep
 full relative accuracy down to the end of the support.
 
-:func:`phi_eval`, the closed form, fills one output in blocks of a fixed
-number of elements, so its temporaries stay in cache; every element takes
-the same operations, so the values do not depend on the blocking.
+:func:`phi_eval` writes one closed-form expression per shape into one
+output, a block of a fixed number of elements at a time, so that no
+temporary grows with the input; every element takes the same operations,
+so the values do not depend on the blocking.
 Non-finite arguments raise :class:`ParameterError`; huge finite ones lie
 outside the support.  A plan's table, the ``2m`` values around each node,
 depends only on the node's fraction ``t`` of a grid step, and each of its
@@ -172,52 +173,12 @@ def cardinal_bspline(order, x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-#: Elements per block of :func:`phi_eval`: the block's few temporaries stay
-#: in cache and no temporary grows with the input.
+#: Elements per block of :func:`phi_eval`, the size of its temporaries.
 _BLOCK = 16384
 #: Degree of a sinh column polynomial in :func:`phi_rows`, and the most
 #: multiply-adds of its block products: OpenBLAS runs up to 2^18 on one thread.
 _DEGREE = 17
 _GEMM = 1 << 18
-
-
-def _sinh_kernel(spec):
-    b = spec.beta
-    c = np.expm1(-2.0 * b)
-
-    def kernel(y, tmp):
-        # y -> s = sqrt(max((1 - y)(1 + y), 0)) in place, 0 for |y| >= 1,
-        # then sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
-        # stable for large b, with b(s - 1) = -b y^2/(1 + s): no cancellation
-        sq, w = tmp
-        np.multiply(y, y, out=sq)
-        np.subtract(1.0, y, out=w)
-        np.add(y, 1.0, out=y)
-        np.multiply(y, w, out=y)
-        np.maximum(y, 0.0, out=y)
-        np.sqrt(y, out=y)
-        np.add(y, 1.0, out=w)
-        np.divide(sq, w, out=sq)
-        np.multiply(sq, -b, out=sq)
-        np.exp(sq, out=sq)
-        np.multiply(y, -2.0 * b, out=y)
-        np.expm1(y, out=y)
-        np.multiply(y, sq, out=y)
-        np.divide(y, c, out=y)
-    return kernel
-
-
-def _bspline_kernel(spec):
-    order = 2 * spec.m
-    b0 = cardinal_bspline(order, 0.0)
-
-    def kernel(y, tmp):
-        np.multiply(y, spec.m, out=y)
-        np.divide(cardinal_bspline(order, y), b0, out=y)
-    return kernel
-
-
-_KERNELS = {"sinh": _sinh_kernel, "bspline": _bspline_kernel}
 
 
 def omega_hat_eval(spec, v):
@@ -275,23 +236,29 @@ def phi_eval(spec, t):
     filled into one output ``_BLOCK`` elements at a time.  Arguments are
     clipped to ``|t| <= 2 m / n_grid``, outside the support, so that huge
     finite ones cannot overflow."""
-    width = spec.m / spec.n_grid
+    m, b = spec.m, spec.beta
+    width = m / spec.n_grid
     arr = np.asarray(t, dtype=float)
     src = arr.reshape(-1)
     out = np.empty(arr.shape)
     dst = out.reshape(-1)
-    kernel = _KERNELS[spec.kind](spec)
-    tmp = np.empty((2, min(_BLOCK, src.size)))
     lim = 2.0 * width
     for start in range(0, src.size, _BLOCK):
         block = src[start:start + _BLOCK]
         if not np.isfinite(block).all():
             raise ParameterError("window argument must be finite")
-        y = dst[start:start + _BLOCK]
-        np.clip(block, -lim, lim, out=y)
         # an argument of +-width, however rounded, maps to exactly +-1
-        np.divide(y, width, out=y)
-        kernel(y, tmp[:, :y.size])
+        y = np.clip(block, -lim, lim) / width
+        if spec.kind == "bspline":
+            y = cardinal_bspline(2 * m, m * y) / cardinal_bspline(2 * m, 0.0)
+        else:
+            # sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
+            # s = sqrt(1 - y^2), 0 for |y| >= 1, with b(s - 1) = -b y^2/(1 + s):
+            # stable for large b, no cancellation
+            s = np.sqrt(np.maximum((y + 1.0) * (1.0 - y), 0.0))
+            y = (np.expm1(s * (-2.0 * b)) * np.exp(y * y / (s + 1.0) * (-b))
+                 / np.expm1(-2.0 * b))
+        dst[start:start + _BLOCK] = y
     return float(dst[0]) if arr.ndim == 0 else out
 
 

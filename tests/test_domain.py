@@ -82,10 +82,17 @@ BAD_PARAMETERS = {
     "sinc_plan-grid-sigma2-above-sinh-range": lambda: sinc_plan(32, GRID, GRID, sigma2=3.0),
     "rescale_frequencies-2d": lambda: rescale_frequencies(16, np.zeros((2, 3)), 2.0, 4),
     "rescale_frequencies-empty": lambda: rescale_frequencies(16, np.zeros(0), 2.0, 4),
-    # sigma1 N* is an integer only every 10^7 steps: no admissible N* among
-    # the 10^5 that the search may try
+    # sigma1 N* is an integer only every 10^7 steps: no admissible N* up to
+    # the cap of the search
     "rescale_frequencies-no-bandwidth": lambda: rescale_frequencies(
         10, GOOD, 1.0000001, 2),
+    # a two-decimal sigma1 puts the first admissible N* far above N: 2400
+    # and 88800 without the cap
+    "fast_bandwidth-two-decimal-sigma1": lambda: fast_bandwidth(16, 1.81, 6),
+    "fast_bandwidth-two-decimal-sigma1-above-2": lambda: fast_bandwidth(16, 3.69, 4),
+    "rescale_frequencies-two-decimal-sigma1": lambda: rescale_frequencies(
+        16, GOOD, 1.81, 6),
+    "sinc_plan-two-decimal-sigma1": lambda: sinc_plan(16, GOOD, GOOD, sigma1=1.81),
     # FFT lengths sigma1 N* of 2^53 and more
     "fast_bandwidth-huge-sigma1": lambda: fast_bandwidth(10, 1e300, 2),
     "fast_bandwidth-huge-N": lambda: fast_bandwidth(10**20, 2.0, 2),

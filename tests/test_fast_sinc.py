@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sincfft import bounds, fast_sinc, nfft, nnfft
 from sincfft.direct import sinc_transform_direct
-from sincfft.errors import ParameterError
+from sincfft.errors import ParameterError, PositivityError
 from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
 from sincfft.nfft import nfft_plan
 from sincfft.nnfft import NnfftPlan, nnfft_plan
@@ -450,3 +450,55 @@ def test_worst_case_error_below_certificate(mode):
     exact = np.stack([sinc_transform_direct(e, a, b, N) for e in eye], axis=1)
     worst = np.max(np.abs(fast - exact))
     assert 0.0 < worst <= plan.error_bound()["full"]
+
+
+def _nodes(layout, rng, L):
+    # "grid": the even grid of L points; "ends": random with both ends +-1/2
+    if layout == "grid":
+        return _grid(L)
+    x = _random_nodes(rng, L)
+    if layout == "ends":
+        x[:2] = -0.5, 0.5
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(N=st.integers(min_value=1, max_value=64),
+       L1=st.integers(min_value=2, max_value=40),
+       L2=st.integers(min_value=2, max_value=40),
+       sources=st.sampled_from(["random", "grid", "ends"]),
+       targets=st.sampled_from(["random", "grid", "ends"]),
+       windows=st.tuples(st.sampled_from(["sinh", "bspline"]),
+                         st.sampled_from(["sinh", "bspline"])),
+       m=st.tuples(st.integers(min_value=2, max_value=8),
+                   st.integers(min_value=2, max_value=8)),
+       sigma=st.tuples(st.sampled_from([1.25, 1.5, 2.0]),
+                       st.sampled_from([1.25, 1.5, 2.0])),
+       size=st.one_of(st.builds(dict, n=st.integers(min_value=2, max_value=512)),
+                      st.builds(dict, epsilon=st.sampled_from(
+                          [1e-2, 1e-4, 1e-8, 1e-12]))),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_plan_raises_or_stays_within_its_certificate(
+        N, L1, L2, sources, targets, windows, m, sigma, size, seed):
+    # the contract of every entry point, on every layout and window: a
+    # documented error, or finite output, within the certificate wherever
+    # error_bound returns one; m <= 8 stays above the certificate's float64
+    # rounding floor
+    rng = np.random.default_rng(seed)
+    a = _nodes(sources, rng, L1)
+    b = _nodes(targets, rng, N if targets == "grid" else L2)
+    c = rng.uniform(-1, 1, L1) + 1j * rng.uniform(-1, 1, L1)
+    try:
+        plan = sinc_plan(N, a, b, m1=m[0], m2=m[1], sigma1=sigma[0],
+                         sigma2=sigma[1], window1=windows[0],
+                         window2=windows[1], **size)
+    except (ParameterError, PositivityError):
+        return
+    out = fast_sinc_transform(plan, c)
+    assert out.shape == b.shape and np.all(np.isfinite(out))
+    try:
+        full = plan.error_bound()["full"]
+    except ParameterError:
+        return
+    err = np.max(np.abs(out - sinc_transform_direct(c, a, b, N)))
+    assert err <= full * np.sum(np.abs(c))

@@ -162,8 +162,9 @@ def test_scalar_argument_gives_float(kind):
         assert evaluate(spec, np.float64(0.0)) == val
 
 
-def test_phi_eval_allocates_only_its_output():
-    spec = WindowSpec("sinh", 8, 2.0, 1 << 18)
+@pytest.mark.parametrize("kind", window_kinds())
+def test_phi_eval_allocates_only_its_output(kind):
+    spec = WindowSpec(kind, 8, 2.0, 1 << 18)
     t = np.random.default_rng(7).uniform(-1.0, 1.0, (131072, 16)) * (8 / (1 << 18))
     tracemalloc.start()
     try:
@@ -351,11 +352,16 @@ def test_sinh_window_agrees_with_mpmath(m, sigma):
 
 @pytest.mark.parametrize("kind", window_kinds())
 def test_phi_rows_blocks_match_one_row_at_a_time(kind):
+    """Rows on both sides of every block boundary, also where the last block
+    is moved back a row so as not to hold one row alone."""
     spec = WindowSpec(kind, 6, 2.0, 4096)
-    per_block = _BLOCK // (2 * spec.m)
-    t = np.random.default_rng(11).uniform(0.0, 1.0, 2 * per_block + 3)
-    rows = phi_rows(spec, t)
-    picks = np.r_[0:4, per_block - 2:per_block + 2, 2 * per_block - 1:t.size]
-    for j in picks:
-        assert np.array_equal(rows[j], phi_rows(spec, t[j:j + 1])[0])
+    terms = windows._row_coefficients(kind, 6, 2.0)[1].shape[0]
+    per_block = windows._GEMM // (spec.m * terms)
+    for size in (2 * per_block + 3, 2 * per_block + 1):
+        t = np.random.default_rng(size).uniform(0.0, 1.0, size)
+        rows = phi_rows(spec, t)
+        picks = [j for b in range(0, size, per_block)
+                 for j in range(b - 2, b + 2) if 0 <= j < size]
+        for j in [*picks, size - 3, size - 2, size - 1]:
+            assert np.array_equal(rows[j], phi_rows(spec, t[j:j + 1])[0]), (size, j)
 
