@@ -61,13 +61,13 @@ class SincPlan:
     """Precomputed steps of the fast sinc transform for one node pair.
 
     ``mode`` (a :class:`SincMode`) tells which stages run on the grid.  An
-    apply runs a front, the NNFFT spread at the sources with its stage-2
-    fill and FFT, or the NFFT fill and FFT on a source grid; ``W``, the
-    read-only CSR matrix of step 2 from that FFT grid onto the back's grid,
-    shared by the live plans with equal parameters; and a back, the
-    stage-2 fill, FFT and gather at the targets, or the adjoint NFFT's FFT
-    and crop on a target grid.  No copy of the nodes, Chebyshev points or
-    weights stays.
+    apply runs a front, made from the sources alone: the NNFFT spread and its
+    node-free stage-2 fill and FFT, or the NFFT fill and FFT on a source grid;
+    ``W``, the read-only CSR matrix of step 2 from that FFT grid onto the
+    back's, shared by the live plans with equal parameters; and a back, made
+    from the targets alone: the stage-2 fill, FFT and gather at them, or the
+    adjoint NFFT's FFT and crop on a target grid.  No copy of the nodes,
+    Chebyshev points or weights stays.
     """
 
     def __init__(self, N, n, L1, L2, params, n_star, mode, front, W, back):
@@ -171,39 +171,36 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
     n_star = fast_bandwidth(N, sigma1, m1)
     grid_L1 = a.size if _on_grid(a, a.size, sigma1, m1) else None
     grid_b = _on_grid(b, N, sigma1, m1)
-    geo = None  # no NNFFT where both stages are on their grid
+    geo = w1 = None  # no NNFFT where both stages are on their grid
     if grid_L1 is None or not grid_b:
         geo = NnfftGeometry.from_parameters(n_star, a.size, b.size, sigma1,
                                             sigma2, m1, m2)
+        w1 = WindowSpec(window1, m1, geo.sigma1, geo.N1)
     # W first, so that its build peaks before the node tables exist
     key = (N, n, m1, m2, sigma1, sigma2, window1, window2, grid_L1, grid_b)
-    W = _shared(_W_LIVE, key, lambda: _chebyshev_operator(geo, *key))
+    W = _shared(_W_LIVE, key, lambda: _chebyshev_operator(
+        geo, w1, N, n, m1, m2, sigma1, window1, window2, grid_L1, grid_b))
     none = np.empty(0)
-    # the NNFFT from the sources to the targets, to no targets where they
-    # are on their grid, and only its second stage where the sources are
+    # each side from its own nodes: the NNFFT spread at the sources and the
+    # stage-2 gather at the targets, or the node-free NFFT of a side's grid
     front = _plan(grid_L1, none, sigma1, m1, window1) if grid_L1 else _nnfft_plan(
-        geo, (a * N) / n_star, none if grid_b else b, window1, window2)
-    if grid_b:
-        back = _plan(N, none, sigma1, m1, window1)
-    else:
-        back = _stage2(geo, WindowSpec(window1, m1, geo.sigma1, geo.N1), b,
-                       window2) if grid_L1 else front.stage2
+        geo, (a * N) / n_star, none, window1, window2)
+    back = _plan(N, none, sigma1, m1, window1) if grid_b else _stage2(
+        geo, w1, b, window2)
     params = (m1, m2, sigma1, sigma2, window1, window2)
     return SincPlan(N, n, a.size, b.size, params, n_star,
                     _MODES[grid_L1 is not None, grid_b], front, W, back)
 
 
-def _chebyshev_operator(geo, N, n, m1, m2, sigma1, sigma2, window1,
-                        window2, grid_L1, grid_b):
+def _chebyshev_operator(geo, w1, N, n, m1, m2, sigma1, window1, window2,
+                        grid_L1, grid_b):
     # W = S3^T diag(s) G1 (rows j: stage 1's gather at z_j, with weight s_j,
     # and stage 3's spread from z_j, onto rows floor(p_j) + 1 - m ..
     # floor(p_j) + m, ascending in j), made in blocks of rows, each from
-    # the nodes whose S3 rows reach it; geo is the plan's NNFFT geometry,
-    # None where both stages are on their grid
+    # the nodes whose S3 rows reach it; geo and its spread window w1 are the
+    # plan's NNFFT's, None where both stages are on their grid
     quad = cc_quadrature(n)
     z, s = quad.points, quad.weights
-    if geo is not None:
-        w1 = WindowSpec(window1, m1, geo.sigma1, geo.N1)
     if grid_L1:  # the NFFT of degree L1 at -N z / (2 L1), wrapped
         spec1 = WindowSpec(window1, m1, sigma1, grid_length(grid_L1, sigma1, m1))
         t = np.mod(-(N / (2.0 * grid_L1)) * z + 0.5, 1.0) - 0.5

@@ -133,13 +133,14 @@ def _rows(column, row):
 
 def grid_length(n, sigma, m):
     """The oversampled grid length ``sigma * n`` of a stage with cut-off
-    ``m``, or ``None`` unless it is an even integer (within 1e-9) with
-    ``4 m <= sigma * n``; a non-finite ``sigma * n`` raises
-    :class:`ParameterError`."""
+    ``m``, or ``None`` unless it is an even integer (within 1e-9, or the 4
+    ulps ``(length / n) * n`` may round by past 10^7) with ``4 m <= sigma *
+    n``; a non-finite ``sigma * n`` raises :class:`ParameterError`."""
     if not math.isfinite(sigma * n):
         raise ParameterError(f"sigma * n must be finite, got sigma = {sigma}")
     n_grid = int(round(sigma * n))
-    if abs(sigma * n - n_grid) > 1e-9 or n_grid % 2 or 4 * m > n_grid:
+    tol = max(1e-9, 4 * math.ulp(n_grid))
+    if abs(sigma * n - n_grid) > tol or n_grid % 2 or 4 * m > n_grid:
         return None
     return n_grid
 

@@ -76,11 +76,9 @@ class NnfftGeometry:
         N2 = int(round(n2f))
         if abs(n2f - N2) > 1e-9:
             N2 = math.ceil(n2f)
-        if N2 % 2:
-            N2 += 1
+        N2 += N2 % 2
         sigma2_eff = N2 / K
-        # the second stage is the NFFT of degree K on the N2-point grid
-        if grid_length(K, sigma2_eff, m2) is None:
+        if 4 * m2 > N2:  # stage 2 is the NFFT of degree K on the N2-point grid
             raise ParameterError(f"need 4*m2 <= N2, got 4*{m2} > {N2}")
 
         # 1 - 1/sigma1 evaluated with the exact grid ratio N/N1
@@ -127,7 +125,7 @@ def fast_bandwidth(N, sigma1, m1):
     :class:`ParameterError`: it would plan grids far larger than ``N``
     asks for."""
     check_window(None, m1, sigma1, "1")
-    start = int(N) + math.ceil(2 * m1 / sigma1)
+    start = integer(N, "fast_bandwidth: N") + math.ceil(2 * m1 / sigma1)
     if not sigma1 * start < 2.0 ** 53:
         raise ParameterError(f"sigma1 * N must be below 2^53, got {sigma1} * {N}")
     cap = 4 * max(start, math.ceil(4 * m1 / sigma1))

@@ -97,6 +97,11 @@ BAD_PARAMETERS = {
     "fast_bandwidth-huge-sigma1": lambda: fast_bandwidth(10, 1e300, 2),
     "fast_bandwidth-huge-N": lambda: fast_bandwidth(10**20, 2.0, 2),
     "fast_bandwidth-huge-length": lambda: fast_bandwidth(10, 1e17, 2),
+    # N is checked as an integer >= 1, not truncated or lifted to the cut-off
+    "fast_bandwidth-fractional-N": lambda: fast_bandwidth(16.5, 2.0, 4),
+    "fast_bandwidth-zero-N": lambda: fast_bandwidth(0, 2.0, 4),
+    "fast_bandwidth-negative-N": lambda: fast_bandwidth(-5, 2.0, 4),
+    "fast_bandwidth-nan-N": lambda: fast_bandwidth(NAN, 2.0, 4),
     "sinc_transform_direct-nan": lambda: sinc_transform_direct(
         np.ones(4), np.where(GOOD == 0.0, NAN, GOOD), GOOD, 16),
     "sinc_transform_direct-nan-coefficient": lambda: sinc_transform_direct(
@@ -159,6 +164,7 @@ BOOL_BANDWIDTHS = {
     "NnfftGeometry": lambda: NnfftGeometry.from_parameters(True, 4, 4, 2.0, 2.0, 4, 4),
     "NnfftGeometry-M1": lambda: NnfftGeometry.from_parameters(128, True, 4, 2.0, 2.0, 4, 4),
     "rescale_frequencies": lambda: rescale_frequencies(True, GOOD, 2.0, 4),
+    "fast_bandwidth": lambda: fast_bandwidth(True, 2.0, 4),
     "nfft_plan": lambda: nfft_plan(True, GOOD),
     "choose_n": lambda: bounds.choose_n(True, 1e-6),
 }

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sincfft import bounds
 from sincfft.direct import nndft_direct
 from sincfft.errors import ParameterError
-from sincfft.nfft import NfftPlan, stencil_table
+from sincfft.nfft import NfftPlan, grid_length, stencil_table
 from sincfft.nnfft import (NnfftGeometry, fast_bandwidth, nnfft_plan,
                            nnfft_trafo, rescale_frequencies)
 from sincfft.windows import WindowSpec, phi_eval, phi_hat_eval
@@ -53,6 +53,19 @@ def test_geometry_rejects():
     with pytest.raises(ParameterError):
         # within the margin, but 4*m2 = 24 > N2 = 22 for the stage-2 NFFT
         NnfftGeometry.from_parameters(4, 3, 3, 4.0, 1.1, 2, 6)
+
+
+def test_large_geometry_takes_its_second_grid_back():
+    # past N2 ~ 10^7, (N2 / K) * K misses N2 by more than 1e-9: the geometry
+    # and its stage-2 NFFT (grid_length at sigma2 = N2 / K) still take it
+    geo = NnfftGeometry.from_parameters(5000014, 1, 1, 2.0, 1.25, 4, 4)
+    assert geo.N2 == 12500046
+    for sigma2 in (1.1, 1.25, 1.3):
+        for N in range(4_200_000, 4_220_000, 2):
+            geo = NnfftGeometry.from_parameters(N, 1, 1, 2.0, sigma2, 4, 4)
+            assert grid_length(geo.N1 + 8, geo.sigma2, 4) == geo.N2, (N, sigma2)
+    # a sigma off the integer by far more than rounding stays rejected
+    assert grid_length(10**7, 1.25 + 1e-13, 4) is None
 
 
 @settings(max_examples=150, deadline=None)
