@@ -203,7 +203,8 @@ def _chebyshev_operator(geo, w1, N, n, m1, m2, sigma1, window1, window2,
     z, s = quad.points, quad.weights
     if grid_L1:  # the NFFT of degree L1 at -N z / (2 L1), wrapped
         spec1 = WindowSpec(window1, m1, sigma1, grid_length(grid_L1, sigma1, m1))
-        t = np.mod(-(N / (2.0 * grid_L1)) * z + 0.5, 1.0) - 0.5
+        t = -(N / (2.0 * grid_L1)) * z
+        t -= np.rint(t)  # exact, and odd in z as W's symmetry needs
     else:  # the stage-2 NFFT of the NNFFT at z / 2
         spec1 = WindowSpec(window2, m2, geo.sigma2, geo.N2)
         t, factor = _stage2_rows(geo, w1, 0.5 * z)

@@ -106,8 +106,8 @@ def stencil_table(spec, u, shift=None):
     C-contiguous ``(M, 2m)`` tables.  The positions wrap onto ``0 .. n-1``
     (``shift=None``) or are moved by ``shift``.  The weights are the rows
     :func:`~sincfft.windows.phi_rows` makes of the fractions ``t_j``: BLAS
-    products of powers of ``t_j`` with a matrix cached per ``(kind, m,
-    sigma)``, within 1e-15 of the window, with exact zeros at both ends."""
+    products of powers of ``t_j - 1/2`` with a matrix cached per ``(kind,
+    m, sigma)``, within 1e-15 of the window, with exact zeros at both ends."""
     m, n = spec.m, spec.n_grid
     base = np.floor(u)
     start = base.astype(np.int32) + (1 - m if shift is None else 1 - m + shift)

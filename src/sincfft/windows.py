@@ -30,10 +30,11 @@ so the values do not depend on the blocking.
 Non-finite arguments raise :class:`ParameterError`; huge finite ones lie
 outside the support.  A plan's table, the ``2m`` values around each node,
 depends only on the node's fraction ``t`` of a grid step, and each of its
-columns is a polynomial in ``t`` or in ``1 - t``: :func:`phi_rows` makes a
-block of rows as BLAS products with a coefficient matrix cached per
-``(kind, m, sigma)``, within 1e-15 of the window, with exact zeros at both
-ends of the support.
+columns is a polynomial in ``w = t - 1/2``, the left half the right half's
+at ``-w`` (times a root factor on the end columns): :func:`phi_rows` makes
+a block of rows from one table of powers of ``w`` and one coefficient
+matrix cached per ``(kind, m, sigma)``, in BLAS products of width ``2m``,
+within 1e-15 of the window, with exact zeros at both ends of the support.
 """
 
 import functools
@@ -114,14 +115,14 @@ class WindowSpec:
 
 
 @functools.lru_cache(maxsize=32)
-def _bspline_pieces(order):
+def _bspline_pieces(order, exact=False):
     # piece j = 0..order//2 of B_order(t - order/2), t in [j, j + 1), in the
     # local coordinate u = t - j:
     #   (1/(order-1)!) sum_{k<=j} (-1)^k C(order, k) (u + j - k)^(order-1);
     # row i holds the coefficient of u^(order-1-i) of every piece, so
-    # Horner's rule walks the rows in order.  Exact rationals, rounded once.
+    # Horner's rule walks the rows in order.  Exact rationals, or rounded once.
     deg = order - 1
-    table = np.empty((order, order // 2 + 1))
+    table = np.empty((order, order // 2 + 1), dtype=object if exact else float)
     for j in range(order // 2 + 1):
         terms = [(-1) ** k * math.comb(order, k) for k in range(j + 1)]
         # terms[k] = (-1)^k C(order, k) (j - k)^q for q = 0, 1, ..., deg
@@ -175,9 +176,11 @@ def cardinal_bspline(order, x):
 
 #: Elements per block of :func:`phi_eval`, the size of its temporaries.
 _BLOCK = 16384
-#: Degree of a sinh column polynomial in :func:`phi_rows`, and the most
-#: multiply-adds of its block products: OpenBLAS runs up to 2^18 on one thread.
+#: Degree of a sinh column polynomial in :func:`phi_rows`; the rows of its
+#: power tables; and the most multiply-adds of one of its products, which
+#: OpenBLAS runs on one thread up to 2^18.
 _DEGREE = 17
+_POWERS = 4096
 _GEMM = 1 << 18
 
 
@@ -264,12 +267,18 @@ def phi_eval(spec, t):
 
 @functools.lru_cache(maxsize=32)
 def _row_coefficients(kind, m, sigma):
-    # (c, read-only (d + 1, 2m) matrix): row q holds the coefficient of
-    # (u - c)^(d - q) of every column, column m + j at u = t and its mirror
-    # m - 1 - j at u = 1 - t; the sinh end columns leave out sqrt(u(2m - u))
-    if kind == "bspline":  # column m + j is piece m - 1 - j, over B_2m(0)
-        pieces = _bspline_pieces(2 * m)
-        c, half = 0.0, pieces[:, m - 1::-1] / pieces[-1, m]
+    # read-only (d + 1, 2m) matrix: row q holds the coefficient of w^(d - q),
+    # w = t - 1/2, of every column; column m - 1 - j is column m + j at -w
+    # (at u = 1 - t for u = t), so its odd powers are negated.  The end
+    # columns leave out their root factor: u (bspline), sqrt(u(2m - u)) (sinh)
+    if kind == "bspline":  # column m + j is piece m - 1 - j over B_2m(0)
+        pieces = _bspline_pieces(2 * m, exact=True)
+        half = pieces[:, m - 1::-1] / pieces[-1, m]
+        half[:, -1] = np.roll(half[:, -1], 1)  # u^(2m-1)/(2m-1)! over u
+        acc = half[:1]  # exact: Horner's rule at u = w + 1/2, descending in w
+        for row in half[1:]:
+            acc = np.vstack((acc, row)) + np.vstack((0 * row, acc / 2))
+        half = acc.astype(float)
     else:
         spec = WindowSpec(kind, m, sigma, 2 * m)
         n = _DEGREE + 1
@@ -281,7 +290,7 @@ def _row_coefficients(kind, m, sigma):
         f[-1] = (np.exp(-b * (1.0 - u / m) ** 2 / (1.0 + s))
                  * np.expm1(-2.0 * b * s) / (np.expm1(-2.0 * b) * m * s))
         # Chebyshev coefficients from the first-kind points, then monomials
-        # in w = u - 1/2, where terms fall off fastest: T_k = 4w T_k-1 - T_k-2
+        # in w, where terms fall off fastest: T_k = 4w T_k-1 - T_k-2
         cheb = scipy.fft.dct(f, type=2, axis=1) / n
         cheb[:, 0] /= 2.0
         mono = np.zeros((n, n))
@@ -289,10 +298,11 @@ def _row_coefficients(kind, m, sigma):
         for k in range(2, n):
             mono[:, k] = -mono[:, k - 2]
             mono[1:, k] += 4.0 * mono[:-1, k - 1]
-        c, half = 0.5, (mono @ cheb.T)[::-1]
-    coef = np.concatenate((half[:, ::-1], half), axis=1)
+        half = (mono @ cheb.T)[::-1]
+    sign = (-1.0) ** np.arange(half.shape[0] - 1, -1, -1)
+    coef = np.concatenate((half[:, ::-1] * sign[:, None], half), axis=1)
     coef.flags.writeable = False
-    return c, coef
+    return coef
 
 
 def phi_rows(spec, t):
@@ -301,37 +311,39 @@ def phi_rows(spec, t):
     column ``i``.
 
     Column ``m + k`` is a polynomial in ``u = t_j`` and, the window being
-    even, column ``m - 1 - k`` the same one in ``u = 1 - t_j``: per block of
-    rows and half, a table of descending powers of ``u`` (of ``u - 1/2`` for
-    sinh) times a coefficient matrix in one BLAS product, small enough for
-    one thread.  The matrices, made once per ``(kind, m, sigma)``, hold the
-    B-spline pieces in the outer breakpoint's coordinate, or sinh Chebyshev
-    interpolants of degree ``_DEGREE``, whose end columns are then times
-    ``sqrt(u(2m - u))``, the branch point.  A row with ``t_j = 0`` (``1``)
-    ends (starts) in an exact zero; the values lie within 1e-15 of the
-    window at ``(t_j - l)/n_grid``.
+    even, column ``m - 1 - k`` the same one in ``u = 1 - t_j``, both written
+    in ``w = t_j - 1/2``.  Per block of ``_POWERS`` rows, one table of
+    descending powers of ``w`` times the ``(d + 1, 2m)`` matrix made once
+    per ``(kind, m, sigma)``: the B-spline pieces re-centred at 1/2 in exact
+    rationals, or sinh Chebyshev interpolants of degree ``_DEGREE``, in BLAS
+    products small enough for one thread.  The end columns are then times
+    their root factor, ``u`` or ``sqrt(u(2m - u))``, the sinh branch point.
+    A row with ``t_j = 0`` (``1``) ends (starts) in an exact zero; the values
+    lie within 1e-15 of the window at ``(t_j - l)/n_grid``.
     """
     if t.size == 1:  # no product has one row, which BLAS rounds differently
         return phi_rows(spec, np.repeat(t, 2))[:1]
     m = spec.m
-    centre, coef = _row_coefficients(spec.kind, m, spec.sigma)
-    rows = max(2, _GEMM // (m * coef.shape[0]))
+    coef = _row_coefficients(spec.kind, m, spec.sigma)
+    rows = max(2, _GEMM // coef.size)
     out = np.empty((t.size, 2 * m))
-    pw = np.ones((coef.shape[0], min(rows, t.size)))
-    for lo in range(0, t.size, rows):
+    pw = np.ones((coef.shape[0], min(_POWERS, t.size)))
+    for lo in range(0, t.size, _POWERS):
         lo = min(lo, t.size - 2)  # nor a last block of one row
-        tb = t[lo:lo + rows]
+        tb = t[lo:lo + _POWERS]
+        block = out[lo:lo + tb.size]
         p = pw[:, :tb.size]  # descending powers: the largest term goes last
-        for cols, end, u in ((slice(m, None), -1, tb),
-                             (slice(0, m), 0, np.subtract(1.0, tb))):
-            np.subtract(u, centre, out=p[-2])
-            for q in range(p.shape[0] - 3, -1, -1):
-                np.multiply(p[q + 1], p[-2], out=p[q])
-            np.matmul(p.T, coef[:, cols], out=out[lo:lo + tb.size, cols])
+        np.subtract(tb, 0.5, out=p[-2])
+        for q in range(p.shape[0] - 3, -1, -1):
+            np.multiply(p[q + 1], p[-2], out=p[q])
+        for s in range(0, tb.size, rows):
+            s = min(s, tb.size - 2)  # nor a product of one row
+            np.matmul(p[:, s:s + rows].T, coef, out=block[s:s + rows])
+        for end, u in ((-1, tb), (0, np.subtract(1.0, tb, out=p[1]))):
             if spec.kind == "sinh":
                 np.subtract(2.0 * m, u, out=p[0])
-                p[0] *= u
-                out[lo:lo + tb.size, end] *= np.sqrt(p[0], out=p[0])
+                u = np.sqrt(np.multiply(p[0], u, out=p[0]), out=p[0])
+            block[:, end] *= u
     return out
 
 

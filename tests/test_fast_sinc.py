@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sincfft import bounds, fast_sinc, nfft, nnfft
@@ -17,6 +17,7 @@ from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
 from sincfft.nfft import nfft_plan
 from sincfft.nnfft import NnfftPlan, nnfft_plan
 from sincfft.sinc_approx import cc_quadrature
+from sincfft.windows import WindowSpec, phi_hat_eval
 
 
 def _grid(L):
@@ -344,6 +345,56 @@ def test_permuting_the_targets_permutes_the_output_bit_for_bit(mode, window, m2)
             fast_sinc_transform(sinc_plan(512, a, b[p], **kw), c), out[p])
 
 
+def _invariant_plan(data, sigma, m):
+    # an admissible plan of the drawn mode and window at N = 16..256,
+    # m1 = m2 = m
+    mode = data.draw(st.sampled_from(list(SincMode)), "mode")
+    window = data.draw(st.sampled_from(["sinh", "bspline"]), "window")
+    N = 2 * data.draw(st.integers(8, 128), "N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    a, b = _layout(mode, rng, N, 2 * data.draw(st.integers(4, 64), "L1"),
+                   data.draw(st.integers(2, 80), "L2"))
+    try:
+        plan = sinc_plan(N, a, b, m1=m, m2=m, sigma1=sigma, sigma2=sigma,
+                         window1=window, window2=window)
+    except ParameterError:  # a small N with a large m admits no NNFFT
+        assume(False)
+    assume(plan.mode is mode)
+    return plan, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma=st.sampled_from([1.25, 1.5, 2.0]), data=st.data())
+def test_real_coefficients_give_a_real_output_to_rounding(sigma, data):
+    """The sinc operator and its fast form are real: for real c, |Im h| <=
+    rho sum|c|, rho = u 2 m1 / (N1 phi_hat_1(N/2)) at the rescaled
+    bandwidth N = n_star, the rounding of one deconvolution (at most 0.37
+    rho measured here).  With the sources on their grid, sinh at sigma =
+    1.25 exceeds it from m = 8 on (1.2-3.7 rho at m = 8-10)."""
+    m = data.draw(st.integers(2, 7 if sigma == 1.25 else 8), "m")
+    plan, rng = _invariant_plan(data, sigma, m)
+    c = rng.standard_normal(plan.L1)
+    N1 = nfft.grid_length(plan.n_star, sigma, m)
+    phi_hat = phi_hat_eval(WindowSpec(plan.window1, m, sigma, N1), plan.n_star / 2)
+    rho = 2.0**-53 * 2 * m / (N1 * phi_hat)
+    imag = np.abs(fast_sinc_transform(plan, c).imag)
+    assert np.max(imag) <= rho * np.sum(np.abs(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma=st.sampled_from([1.25, 1.5, 2.0]), m=st.integers(2, 8),
+       data=st.data())
+def test_w_is_centro_symmetric(sigma, m, data):
+    """The Chebyshev nodes and weights are symmetric, the node maps odd and
+    the windows even: W[r, c] = W[-r mod R, -c mod C], to 5e-15 of its
+    largest entry (1.6e-15 measured)."""
+    plan, _ = _invariant_plan(data, sigma, m)
+    W = plan._W.toarray()
+    R, C = W.shape
+    mirror = W[-np.arange(R) % R][:, -np.arange(C) % C]
+    assert np.max(np.abs(W - mirror)) <= 5e-15 * np.max(np.abs(W))
+
+
 def test_plans_with_equal_parameters_share_one_w():
     rng = np.random.default_rng(15)
     first = sinc_plan(64, _random_nodes(rng, 20), _random_nodes(rng, 30))
@@ -427,7 +478,8 @@ def test_w_is_the_product_of_the_stage_plans(mode, window):
     z, n_star = quad.points, plan.n_star
     nn = {k: v for k, v in kw.items()}
     if mode in _GRID_SOURCES:
-        t = np.mod(-(N / (2.0 * L1)) * z + 0.5, 1.0) - 0.5
+        t = -(N / (2.0 * L1)) * z
+        t -= np.rint(t)  # wrapped onto [-1/2, 1/2] exactly
         g1 = nfft_plan(L1, t, sigma=2.0, m=5, window=window).gather
     else:
         g1 = nnfft_plan(n_star, (a * N) / n_star, 0.5 * z, **nn).stage2.gather

@@ -301,12 +301,30 @@ def test_phi_rows_fit_once_for_every_grid(kind, monkeypatch):
     assert all(np.array_equal(rows[0], r) for r in rows[1:])
 
 
+def _product_blocks(spec, size):
+    # (first, end) rows of every product phi_rows runs: power tables of
+    # _POWERS rows, each split into products within _GEMM multiply-adds,
+    # a last block or product of one row moved back a row
+    if size == 1:
+        return [(0, 2)]
+    per_product = max(2, windows._GEMM // windows._row_coefficients(
+        spec.kind, spec.m, spec.sigma).size)
+    blocks = []
+    for lo in range(0, size, windows._POWERS):
+        lo = min(lo, size - 2)
+        rows = min(windows._POWERS, size - lo)
+        for s in range(0, rows, per_product):
+            s = min(s, rows - 2)
+            blocks.append((lo + s, lo + min(s + per_product, rows)))
+    return blocks
+
+
 @pytest.mark.parametrize("kind", window_kinds())
 @pytest.mark.parametrize("m", [2, 8, 16])
 def test_phi_rows_products_run_on_one_thread(kind, m, monkeypatch):
-    """Every block product has two rows or more (one row takes another BLAS
-    path, which rounds differently) and at most 2^18 multiply-adds, below
-    which OpenBLAS starts no thread."""
+    """One product of width 2m per block of rows, each with two rows or more
+    (one row takes another BLAS path, which rounds differently) and at most
+    2^18 multiply-adds, below which OpenBLAS starts no thread."""
     shapes = []
     matmul = np.matmul
 
@@ -315,11 +333,15 @@ def test_phi_rows_products_run_on_one_thread(kind, m, monkeypatch):
         return matmul(a, b, **kw)
     monkeypatch.setattr(np, "matmul", recorded)
     spec = WindowSpec(kind, m, 2.0, 1 << 12)
-    degree = windows._row_coefficients(kind, m, 2.0)[1].shape[0] - 1
-    per_block = windows._GEMM // (m * (degree + 1))
-    for size in (1, per_block + 1, 3 * per_block):
+    per_product = windows._GEMM // windows._row_coefficients(kind, m, 2.0).size
+    for size in (1, 2, per_product + 1, 3 * per_product, windows._POWERS + 1,
+                 2 * windows._POWERS + 3):
+        shapes.clear()
         phi_rows(spec, np.random.default_rng(size).uniform(0.0, 1.0, size))
-    assert shapes and all(r >= 2 and r * k * c <= 2**18 for r, k, c in shapes)
+        blocks = _product_blocks(spec, size)
+        assert [r for r, _, _ in shapes] == [hi - lo for lo, hi in blocks]
+        assert all(r >= 2 and r * k * c <= 2**18 and c == 2 * m
+                   for r, k, c in shapes)
 
 
 def test_phi_rows_allocate_little_beyond_their_output():
@@ -337,6 +359,22 @@ def test_phi_rows_allocate_little_beyond_their_output():
     assert peak <= out.nbytes + 104_000
 
 
+def test_phi_rows_allocate_one_power_table_for_a_large_table():
+    """131072 rows at m = 8 take their output, one power table of _POWERS
+    rows and a few vectors of that length, whatever their number."""
+    spec = WindowSpec("sinh", 8, 2.0, 1 << 18)
+    t = np.random.default_rng(6).uniform(0.0, 1.0, 131072)
+    terms = windows._row_coefficients("sinh", 8, 2.0).shape[0]
+    phi_rows(spec, t[:2])
+    tracemalloc.start()
+    try:
+        out = phi_rows(spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (terms + 4) * windows._POWERS * 8
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12, 16])
 @pytest.mark.parametrize("sigma", [1.25, 1.5, 2.0])
 def test_sinh_window_agrees_with_mpmath(m, sigma):
@@ -352,16 +390,16 @@ def test_sinh_window_agrees_with_mpmath(m, sigma):
 
 @pytest.mark.parametrize("kind", window_kinds())
 def test_phi_rows_blocks_match_one_row_at_a_time(kind):
-    """Rows on both sides of every block boundary, also where the last block
-    is moved back a row so as not to hold one row alone."""
+    """Rows on both sides of every product's and every power table's edges,
+    also where the last of either is moved back a row so as not to hold one
+    row alone."""
     spec = WindowSpec(kind, 6, 2.0, 4096)
-    terms = windows._row_coefficients(kind, 6, 2.0)[1].shape[0]
-    per_block = windows._GEMM // (spec.m * terms)
-    for size in (2 * per_block + 3, 2 * per_block + 1):
+    per_product = windows._GEMM // windows._row_coefficients(kind, 6, 2.0).size
+    for size in (2 * per_product + 3, 2 * per_product + 1,
+                 windows._POWERS + 1, windows._POWERS + per_product + 1):
         t = np.random.default_rng(size).uniform(0.0, 1.0, size)
         rows = phi_rows(spec, t)
-        picks = [j for b in range(0, size, per_block)
-                 for j in range(b - 2, b + 2) if 0 <= j < size]
-        for j in [*picks, size - 3, size - 2, size - 1]:
+        picks = {j for lo, _ in _product_blocks(spec, size)
+                 for j in range(lo - 2, lo + 2) if 0 <= j < size}
+        for j in sorted(picks | {size - 3, size - 2, size - 1}):
             assert np.array_equal(rows[j], phi_rows(spec, t[j:j + 1])[0]), (size, j)
-
