@@ -112,6 +112,7 @@ def stencil_table(spec, u, shift=None):
     base = np.floor(u)
     start = base.astype(np.int32) + (1 - m if shift is None else 1 - m + shift)
     val = phi_rows(spec, np.subtract(u, base, out=base))
+    del u, base  # before idx: an NNFFT plan may build two tables at once
     if shift is None:
         start += n * (start < 0)
     idx = _rows(start, np.arange(2 * m, dtype=np.int32))

@@ -15,6 +15,9 @@ The spread is one sparse stencil matrix built at plan time by
 :func:`~sincfft.nfft.stencil_table`, which makes every window table; the
 second stage is an :class:`~sincfft.nfft.NfftPlan` whose gather rows carry
 the final division, so an apply is two sparse products around one FFT.
+Where the CPU affinity allows two CPUs, a large plan builds the spread on
+one extra thread, which ends with the call, while the calling thread builds
+the second stage; the tables are bit for bit those of a serial build.
 
 Frequencies must satisfy ``|v_k| <= 1/(2a)`` with ``a = 1 + 2 m1 / N1``;
 :func:`rescale_frequencies` maps data given on ``[-1/2, 1/2]`` onto an
@@ -23,6 +26,8 @@ smallest admissible ``N* >= N + ceil(2 m1/sigma1)`` with a fast FFT length.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +39,11 @@ from .nfft import (_DOMAIN_TOL, _plan, as_coefficients, as_nodes,
                    grid_length, nfft_trafo, stencil_matrix, stencil_table)
 # phi_eval stays importable here for tracers that rebind it per module
 from .windows import WindowSpec, check_window, phi_eval, phi_hat_eval
+
+#: Nodes each side needs before a plan builds its spread on a second thread
+_THREAD_NODES = 4096
+#: The CPUs this process may run on (any, where the OS keeps no affinity)
+_affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -183,6 +193,10 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
         Window cut-offs.
     window1, window2 : str
         Window shapes for the spreading and gathering stage.
+
+    From 4096 frequencies and nodes on, and where the CPU affinity allows
+    two, the spread is built on one extra thread that ends with the call:
+    the plan is bit for bit the serial one.
     """
     v = as_nodes(v, "nnfft_plan: v")
     x = as_nodes(x, "nnfft_plan: x")
@@ -205,8 +219,16 @@ def _nnfft_plan(geo, v, x, window1, window2):
     w1 = WindowSpec(window1, geo.m1, geo.sigma1, geo.N1)
     # spreading table: phi_1 on the 2*m1 coarse-grid points around N1 v_k,
     # moved by K/2 onto 0..K-1, which |v_k| <= 1/(2a) keeps them inside
-    spos, sval = stencil_table(w1, geo.N1 * v, shift=(geo.N1 + 2 * geo.m1) // 2)
-    return NnfftPlan(geo, w1, spos, sval, _stage2(geo, w1, x, window2))
+    def spread():
+        return stencil_table(w1, geo.N1 * v, shift=(geo.N1 + 2 * geo.m1) // 2)
+    if min(v.size, x.size) < _THREAD_NODES or len(_affinity(0)) < 2:
+        return NnfftPlan(geo, w1, *spread(), _stage2(geo, w1, x, window2))
+    # the two tables from disjoint nodes, the spread on a worker: leaving
+    # the block waits for it, also when stage 2 raises
+    with ThreadPoolExecutor(1) as pool:
+        table = pool.submit(spread)
+        stage2 = _stage2(geo, w1, x, window2)
+    return NnfftPlan(geo, w1, *table.result(), stage2)
 
 
 def _stage2(geo, window1, x, window2):
