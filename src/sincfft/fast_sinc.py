@@ -118,13 +118,13 @@ _MODES = {(False, False): SincMode.GENERAL,
           (True, True): SincMode.EQUISPACED_BOTH}
 
 
-def _on_grid(nodes, L, sigma1, m1):
-    # nodes == (arange(L) - L/2) / L within tolerance, with L even and a
-    # grid that admits the NFFT of degree L
-    if nodes.size != L or L % 2 or grid_length(L, sigma1, m1) is None:
-        return False
-    grid = (np.arange(L) - L // 2) / L
-    return bool(np.max(np.abs(nodes - grid)) <= _DOMAIN_TOL)
+def _on_grid(nodes, L, window, m, sigma):
+    # the window of the NFFT of degree L where nodes == (arange(L) - L/2) / L
+    # within tolerance, with L even and a grid that admits that NFFT; or None
+    if nodes.size != L or L % 2 or (n_grid := grid_length(L, sigma, m)) is None:
+        return None
+    on = np.max(np.abs(nodes - (np.arange(L) - L // 2) / L)) <= _DOMAIN_TOL
+    return WindowSpec(window, m, sigma, n_grid) if on else None
 
 
 def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
@@ -169,51 +169,49 @@ def sinc_plan(N, a, b, *, n=None, epsilon=None, m1=6, m2=6,
     check_window(window1, m1, sigma1, "1")
     check_window(window2, m2, sigma2, "2")
     n_star = fast_bandwidth(N, sigma1, m1)
-    grid_L1 = a.size if _on_grid(a, a.size, sigma1, m1) else None
-    grid_b = _on_grid(b, N, sigma1, m1)
-    geo = w1 = None  # no NNFFT where both stages are on their grid
-    if grid_L1 is None or not grid_b:
+    src = _on_grid(a, a.size, window1, m1, sigma1)
+    tgt = _on_grid(b, N, window1, m1, sigma1)
+    geo = w1 = w2 = None  # no NNFFT where both stages are on their grid
+    if src is None or tgt is None:
         geo = NnfftGeometry.from_parameters(n_star, a.size, b.size, sigma1,
                                             sigma2, m1, m2)
         w1 = WindowSpec(window1, m1, geo.sigma1, geo.N1)
+        w2 = WindowSpec(window2, m2, geo.sigma2, geo.N2)
+    grid_L1 = a.size if src else None
     # W first, so that its build peaks before the node tables exist
-    key = (N, n, m1, m2, sigma1, sigma2, window1, window2, grid_L1, grid_b)
+    key = (N, n, m1, m2, sigma1, sigma2, window1, window2, grid_L1, tgt is not None)
     W = _shared(_W_LIVE, key, lambda: _chebyshev_operator(
-        geo, w1, N, n, m1, m2, sigma1, window1, window2, grid_L1, grid_b))
+        geo, w1, N, n, src or w2, tgt, grid_L1))
     none = np.empty(0)
     # each side from its own nodes: the NNFFT spread at the sources and the
     # stage-2 gather at the targets, or the node-free NFFT of a side's grid
-    front = _plan(grid_L1, none, sigma1, m1, window1) if grid_L1 else _nnfft_plan(
-        geo, (a * N) / n_star, none, window1, window2)
-    back = _plan(N, none, sigma1, m1, window1) if grid_b else _stage2(
-        geo, w1, b, window2)
+    front = _plan(grid_L1, none, src) if src else _nnfft_plan(
+        geo, (a * N) / n_star, none, w1, w2)
+    back = _plan(N, none, tgt) if tgt else _stage2(geo, w1, b, w2)
     params = (m1, m2, sigma1, sigma2, window1, window2)
     return SincPlan(N, n, a.size, b.size, params, n_star,
-                    _MODES[grid_L1 is not None, grid_b], front, W, back)
+                    _MODES[src is not None, tgt is not None], front, W, back)
 
 
-def _chebyshev_operator(geo, w1, N, n, m1, m2, sigma1, window1, window2,
-                        grid_L1, grid_b):
+def _chebyshev_operator(geo, w1, N, n, spec1, tgt, grid_L1):
     # W = S3^T diag(s) G1 (rows j: stage 1's gather at z_j, with weight s_j,
     # and stage 3's spread from z_j, onto rows floor(p_j) + 1 - m ..
     # floor(p_j) + m, ascending in j), made in blocks of rows, each from
-    # the nodes whose S3 rows reach it; geo and its spread window w1 are the
-    # plan's NNFFT's, None where both stages are on their grid
+    # the nodes whose S3 rows reach it.  G1 has window spec1 (the source
+    # grid's, with L1 = grid_L1, or stage 2's), S3 the target grid's tgt or
+    # w1; geo and w1 are the plan's NNFFT's, None where it has none
     quad = cc_quadrature(n)
     z, s = quad.points, quad.weights
     if grid_L1:  # the NFFT of degree L1 at -N z / (2 L1), wrapped
-        spec1 = WindowSpec(window1, m1, sigma1, grid_length(grid_L1, sigma1, m1))
         t = -(N / (2.0 * grid_L1)) * z
         t -= np.rint(t)  # exact, and odd in z as W's symmetry needs
     else:  # the stage-2 NFFT of the NNFFT at z / 2
-        spec1 = WindowSpec(window2, m2, geo.sigma2, geo.N2)
         t, factor = _stage2_rows(geo, w1, 0.5 * z)
         s = s * factor
-    if grid_b:  # the adjoint NFFT of degree N at -z / 2
-        spec3 = WindowSpec(window1, m1, sigma1, grid_length(N, sigma1, m1))
-        rows, shift, u = spec3.n_grid, None, spec3.n_grid * (-0.5 * z)
+    if tgt:  # the adjoint NFFT of degree N at -z / 2
+        spec3, rows, shift, u = tgt, tgt.n_grid, None, tgt.n_grid * (-0.5 * z)
     else:  # the NNFFT spread at -N z / (2 N*), moved onto 0 .. K-1
-        spec3, rows = w1, geo.N1 + 2 * m1
+        spec3, rows = w1, geo.N1 + 2 * geo.m1
         shift, u = rows // 2, geo.N1 * ((z * (-0.5 * N)) / geo.N)
     p, m = u + (shift or 0), spec3.m
     step = max(_W_NODES, (n + 1) // 8)

@@ -184,12 +184,7 @@ def nfft_plan(N, nodes, *, sigma=2.0, m=4, window="sinh"):
     Nodes must satisfy ``|x| <= 1/2`` (a 1e-12 overhang is clamped); the
     transform treats them 1-periodically.
     """
-    return _plan(N, as_nodes(nodes, "nfft_plan: nodes"), sigma, m, window)
-
-
-def _plan(N, x, sigma, m, window):
-    # nfft_plan at checked x; at none (x empty) the shared node-free plan
-    # of these parameters, whose tables _fill/_crop read
+    x = as_nodes(nodes, "nfft_plan: nodes")
     N = integer(N, "nfft_plan: N")
     if N % 2:
         raise ParameterError("nfft_plan: N must be a positive even integer")
@@ -198,15 +193,19 @@ def _plan(N, x, sigma, m, window):
         raise ParameterError(
             f"nfft_plan: sigma*N must be an even integer >= 4m, got "
             f"sigma*N = {sigma * N} with m = {m}")
+    return _plan(N, x, WindowSpec(window, m, float(sigma), n_over))
 
-    spec = WindowSpec(window, m, float(sigma), n_over)
-    # before the stencil, as phi_hat always was: a stencil made first took
+
+def _plan(N, x, spec):
+    # the NFFT of even degree N with window spec at checked x; at none (x
+    # empty) the shared node-free plan, whose tables _fill/_crop read, made
+    # before the stencil as phi_hat always was: a stencil made first took
     # 1 ms longer at 32768 nodes, m = 8 (the heap state its tables meet)
     grid = _shared(_GRID_LIVE, (N, spec), lambda: _grid_plan(N, spec))
     if x.size == 0:
         return grid
-    idx, val = stencil_table(spec, n_over * x)
-    return NfftPlan(N, n_over, spec, idx, val, grid.deconv, grid.twiddle, grid)
+    idx, val = stencil_table(spec, spec.n_grid * x)
+    return NfftPlan(N, spec.n_grid, spec, idx, val, grid.deconv, grid.twiddle, grid)
 
 
 def _grid_plan(N, spec):

@@ -202,11 +202,14 @@ def nnfft_plan(N, v, x, *, sigma1=2.0, sigma2=2.0, m1=4, m2=4,
     x = as_nodes(x, "nnfft_plan: x")
     geo = NnfftGeometry.from_parameters(N, v.size, x.size,
                                         float(sigma1), float(sigma2), m1, m2)
-    return _nnfft_plan(geo, v, x, window1, window2)
+    w1 = WindowSpec(window1, geo.m1, geo.sigma1, geo.N1)
+    w2 = WindowSpec(window2, geo.m2, geo.sigma2, geo.N2)
+    return _nnfft_plan(geo, v, x, w1, w2)
 
 
-def _nnfft_plan(geo, v, x, window1, window2):
-    # nnfft_plan on geo at checked v and x; an empty x leaves out the
+def _nnfft_plan(geo, v, x, w1, w2):
+    # nnfft_plan on geo with windows w1, w2 at checked x and v, a copy of
+    # the caller's that it clips in place; an empty x leaves out the
     # gather, for transforms that plan only the spread of an NNFFT
     geo = replace(geo, M1=v.size, M2=x.size)
     vmax = 0.5 / geo.a
@@ -214,37 +217,36 @@ def _nnfft_plan(geo, v, x, window1, window2):
         raise ParameterError(
             "nnfft_plan: frequencies exceed 1/(2a) = {:.6g}; apply "
             "rescale_frequencies to map [-1/2, 1/2] data into the band".format(vmax))
-    v = np.clip(v, -vmax, vmax)
+    np.clip(v, -vmax, vmax, out=v)
 
-    w1 = WindowSpec(window1, geo.m1, geo.sigma1, geo.N1)
     # spreading table: phi_1 on the 2*m1 coarse-grid points around N1 v_k,
     # moved by K/2 onto 0..K-1, which |v_k| <= 1/(2a) keeps them inside
     def spread():
         return stencil_table(w1, geo.N1 * v, shift=(geo.N1 + 2 * geo.m1) // 2)
     if min(v.size, x.size) < _THREAD_NODES or len(_affinity(0)) < 2:
-        return NnfftPlan(geo, w1, *spread(), _stage2(geo, w1, x, window2))
+        return NnfftPlan(geo, w1, *spread(), _stage2(geo, w1, x, w2))
     # the two tables from disjoint nodes, the spread on a worker: leaving
     # the block waits for it, also when stage 2 raises
     with ThreadPoolExecutor(1) as pool:
         table = pool.submit(spread)
-        stage2 = _stage2(geo, w1, x, window2)
+        stage2 = _stage2(geo, w1, x, w2)
     return NnfftPlan(geo, w1, *table.result(), stage2)
 
 
-def _stage2(geo, window1, x, window2):
-    # the second stage: the NFFT of degree K at _stage2_rows, whose factors
-    # ride in the rows of its gather
-    t, factor = _stage2_rows(geo, window1, x) if x.size else (x, None)
-    stage2 = _plan(geo.N1 + 2 * geo.m1, t, geo.sigma2, geo.m2, window2)
+def _stage2(geo, w1, x, w2):
+    # the second stage: the NFFT of degree K with window w2 at _stage2_rows,
+    # whose factors ride in the rows of its gather
+    t, factor = _stage2_rows(geo, w1, x) if x.size else (x, None)
+    stage2 = _plan(geo.N1 + 2 * geo.m1, t, w2)
     if x.size:  # at no nodes stage2 is the shared node-free plan
         stage2.spread_val *= factor[:, None]
     return stage2
 
 
-def _stage2_rows(geo, window1, x):
+def _stage2_rows(geo, w1, x):
     # the stage-2 nodes -x_j N/N1 (-x_j/sigma1 with the exact grid ratio)
     # and the factors 1/(N1 phi_hat_1(N x_j)) of their gather rows
-    hat1 = np.asarray(phi_hat_eval(window1, geo.N * x), dtype=float)
+    hat1 = np.asarray(phi_hat_eval(w1, geo.N * x), dtype=float)
     if np.any(hat1 <= 0.0):
         raise PositivityError(
             "nnfft_plan: phi_hat_1(N x_j) must be strictly positive at every node")

@@ -23,11 +23,8 @@ Two shapes are provided, both continuous on the real line:
 rule on one table of piece coefficients per order, so the tail pieces keep
 full relative accuracy down to the end of the support.
 
-:func:`phi_eval` writes one closed-form expression per shape into one
-output, a block of a fixed number of elements at a time, so that no
-temporary grows with the input; every element takes the same operations,
-so the values do not depend on the blocking.
-Non-finite arguments raise :class:`ParameterError`; huge finite ones lie
+:func:`phi_eval` is one closed form per shape over its whole argument;
+non-finite arguments raise :class:`ParameterError`, huge finite ones lie
 outside the support.  A plan's table, the ``2m`` values around each node,
 depends only on the node's fraction ``t`` of a grid step, and each of its
 columns is a polynomial in ``w = t - 1/2``, the left half the right half's
@@ -115,14 +112,14 @@ class WindowSpec:
 
 
 @functools.lru_cache(maxsize=32)
-def _bspline_pieces(order, exact=False):
+def _bspline_pieces(order):
     # piece j = 0..order//2 of B_order(t - order/2), t in [j, j + 1), in the
     # local coordinate u = t - j:
     #   (1/(order-1)!) sum_{k<=j} (-1)^k C(order, k) (u + j - k)^(order-1);
     # row i holds the coefficient of u^(order-1-i) of every piece, so
-    # Horner's rule walks the rows in order.  Exact rationals, or rounded once.
+    # Horner's rule walks the rows in order.  Exact rationals.
     deg = order - 1
-    table = np.empty((order, order // 2 + 1), dtype=object if exact else float)
+    table = np.empty((order, order // 2 + 1), dtype=object)
     for j in range(order // 2 + 1):
         terms = [(-1) ** k * math.comb(order, k) for k in range(j + 1)]
         # terms[k] = (-1)^k C(order, k) (j - k)^q for q = 0, 1, ..., deg
@@ -143,7 +140,7 @@ def cardinal_bspline(order, x):
     It is evaluated at ``-|x|`` (``B_order`` is even) by Horner's rule on
     the piece containing that point, in the distance ``u >= 0`` from the
     piece's left, outer breakpoint; the coefficients of the pieces are
-    exact rationals rounded once, tabulated once per order.  The support
+    exact rationals, tabulated once per order and rounded once.  The support
     is half-open, so ``B_order(order/2) = 0`` also for ``order = 1``.
 
     Parameters
@@ -158,7 +155,7 @@ def cardinal_bspline(order, x):
     if not np.all(np.isfinite(arr)):
         raise ParameterError("cardinal_bspline: argument must be finite")
     half = order / 2.0
-    coef = _bspline_pieces(int(order))
+    coef = _bspline_pieces(int(order)).astype(float)
     flat = arr.reshape(-1)
     # distance of -|x| from the left end of the support, raised to 0
     # outside it before the cast to a piece index
@@ -174,8 +171,6 @@ def cardinal_bspline(order, x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-#: Elements per block of :func:`phi_eval`, the size of its temporaries.
-_BLOCK = 16384
 #: Degree of a sinh column polynomial in :func:`phi_rows`; the rows of its
 #: power tables; and the most multiply-adds of one of its products, which
 #: OpenBLAS runs on one thread up to 2^18.
@@ -235,34 +230,27 @@ def omega_hat_eval(spec, v):
 
 
 def phi_eval(spec, t):
-    """Grid window ``phi(t) = omega(t / (m / n_grid))`` at finite ``t``,
-    filled into one output ``_BLOCK`` elements at a time.  Arguments are
-    clipped to ``|t| <= 2 m / n_grid``, outside the support, so that huge
-    finite ones cannot overflow."""
+    """Grid window ``phi(t) = omega(t / (m / n_grid))`` at finite ``t``, one
+    closed form per shape over the whole argument.  Arguments are clipped to
+    ``|t| <= 2 m / n_grid``, outside the support, so that huge finite ones
+    cannot overflow."""
+    arr = np.asarray(t, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ParameterError("window argument must be finite")
     m, b = spec.m, spec.beta
     width = m / spec.n_grid
-    arr = np.asarray(t, dtype=float)
-    src = arr.reshape(-1)
-    out = np.empty(arr.shape)
-    dst = out.reshape(-1)
-    lim = 2.0 * width
-    for start in range(0, src.size, _BLOCK):
-        block = src[start:start + _BLOCK]
-        if not np.isfinite(block).all():
-            raise ParameterError("window argument must be finite")
-        # an argument of +-width, however rounded, maps to exactly +-1
-        y = np.clip(block, -lim, lim) / width
-        if spec.kind == "bspline":
-            y = cardinal_bspline(2 * m, m * y) / cardinal_bspline(2 * m, 0.0)
-        else:
-            # sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
-            # s = sqrt(1 - y^2), 0 for |y| >= 1, with b(s - 1) = -b y^2/(1 + s):
-            # stable for large b, no cancellation
-            s = np.sqrt(np.maximum((y + 1.0) * (1.0 - y), 0.0))
-            y = (np.expm1(s * (-2.0 * b)) * np.exp(y * y / (s + 1.0) * (-b))
-                 / np.expm1(-2.0 * b))
-        dst[start:start + _BLOCK] = y
-    return float(dst[0]) if arr.ndim == 0 else out
+    # an argument of +-width, however rounded, maps to exactly +-1
+    y = np.clip(arr, -2.0 * width, 2.0 * width) / width
+    if spec.kind == "bspline":
+        y = cardinal_bspline(2 * m, m * y) / cardinal_bspline(2 * m, 0.0)
+    else:
+        # sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
+        # s = sqrt(1 - y^2), 0 for |y| >= 1, with b(s - 1) = -b y^2/(1 + s):
+        # stable for large b, no cancellation
+        s = np.sqrt(np.maximum((y + 1.0) * (1.0 - y), 0.0))
+        y = (np.expm1(s * (-2.0 * b)) * np.exp(y * y / (s + 1.0) * (-b))
+             / np.expm1(-2.0 * b))
+    return float(y) if arr.ndim == 0 else y
 
 
 @functools.lru_cache(maxsize=32)
@@ -272,7 +260,7 @@ def _row_coefficients(kind, m, sigma):
     # (at u = 1 - t for u = t), so its odd powers are negated.  The end
     # columns leave out their root factor: u (bspline), sqrt(u(2m - u)) (sinh)
     if kind == "bspline":  # column m + j is piece m - 1 - j over B_2m(0)
-        pieces = _bspline_pieces(2 * m, exact=True)
+        pieces = _bspline_pieces(2 * m)
         half = pieces[:, m - 1::-1] / pieces[-1, m]
         half[:, -1] = np.roll(half[:, -1], 1)  # u^(2m-1)/(2m-1)! over u
         acc = half[:1]  # exact: Horner's rule at u = w + 1/2, descending in w

@@ -332,6 +332,18 @@ def test_plan_rejects_out_of_band_frequencies():
         nnfft_plan(32, np.zeros(4), np.array([0.7]))
 
 
+def test_plan_leaves_the_callers_frequencies_unchanged():
+    # the plan clips a frequency 5e-13 past 1/(2a) in its own copy of v
+    geo = NnfftGeometry.from_parameters(32, 3, 4, 2.0, 2.0, 4, 4)
+    v = np.array([-0.3, 0.1, 0.5 / geo.a + 5e-13])
+    kept = v.copy()
+    plan = nnfft_plan(32, v, np.zeros(4))
+    assert np.array_equal(v, kept)
+    clipped = nnfft_plan(32, np.minimum(v, 0.5 / geo.a), np.zeros(4))
+    assert np.array_equal(plan.spread_val, clipped.spread_val)
+    assert np.array_equal(plan.spread_idx, clipped.spread_idx)
+
+
 def test_odd_point_counts_are_allowed():
     # node/frequency counts have no parity constraint
     plan = nnfft_plan(16, np.array([0.1, -0.2, 0.3]), np.array([0.4, -0.4]),
@@ -477,16 +489,12 @@ def test_permuting_the_nodes_permutes_the_output_bit_for_bit(window, spread_thre
     assert threading.get_ident() not in spread_threads
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(sigma=st.sampled_from([1.25, 1.5, 2.0]), data=st.data())
-def test_permuting_the_frequencies_moves_the_output_by_rounding(sigma, data,
-                                                                spread_threads):
-    """Permuting (v, f) together only reorders the sums onto the coarse
-    grid: the output moves by at most rho sum|f|, rho = u 2 m1 / (N1
-    phi_hat_1(N/2)), the rounding of one deconvolution (at most 0.26 rho
-    measured at these sizes)."""
-    m = data.draw(st.integers(2, 7 if sigma == 1.25 else 8), "m")
+def _rounding_case(data, sigma, m_top):
+    # a drawn plan past _THREAD_NODES (window, m = 2..m_top, N = 16..1024):
+    # a function that plans and applies such a plan, its inputs, its
+    # output, and rho sum|f|, rho = u 2 m1 / (N1 phi_hat_1(N/2)) the
+    # rounding of one deconvolution
+    m = data.draw(st.integers(2, m_top), "m")
     window = data.draw(st.sampled_from(["sinh", "bspline"]), "window")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
     n_star, v, x, f = _threaded_problem(
@@ -497,11 +505,40 @@ def test_permuting_the_frequencies_moves_the_output_by_rounding(sigma, data,
         plan = nnfft_plan(n_star, v, x, **kw)
     except ParameterError:  # a small N with a large m admits no NNFFT
         assume(False)
+    rho = 2.0**-53 * 2 * m / (plan.geometry.N1 * phi_hat_eval(plan.window1, n_star / 2))
+
+    def transform(v, x, f):
+        return nnfft_trafo(nnfft_plan(n_star, v, x, **kw), f)
+    return transform, (v, x, f), nnfft_trafo(plan, f), rho * np.sum(np.abs(f)), rng
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sigma=st.sampled_from([1.25, 1.5, 2.0]), data=st.data())
+def test_permuting_the_frequencies_moves_the_output_by_rounding(sigma, data,
+                                                                spread_threads):
+    """Permuting (v, f) together only reorders the sums onto the coarse
+    grid: the output moves by at most rho sum|f|, rho = u 2 m1 / (N1
+    phi_hat_1(N/2)), the rounding of one deconvolution (at most 0.26 rho
+    measured at these sizes)."""
+    transform, (v, x, f), out, tol, rng = _rounding_case(
+        data, sigma, 7 if sigma == 1.25 else 8)
     p = rng.permutation(v.size)
-    moved = nnfft_trafo(nnfft_plan(n_star, v[p], x, **kw), f[p]) - nnfft_trafo(plan, f)
-    N1 = plan.geometry.N1
-    rho = 2.0**-53 * 2 * m / (N1 * phi_hat_eval(plan.window1, n_star / 2))
-    assert np.max(np.abs(moved)) <= rho * np.sum(np.abs(f))
+    assert np.max(np.abs(transform(v[p], x, f[p]) - out)) <= tol
+    assert threading.get_ident() not in spread_threads
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sigma=st.sampled_from([1.25, 1.5, 2.0]), data=st.data())
+def test_reflecting_frequencies_and_nodes_moves_the_output_by_rounding(
+        sigma, data, spread_threads):
+    """(v, x) -> (-v, -x) leaves every product v_k x_j unchanged: the output
+    moves by at most rho sum|f| (at most 0.30 rho measured at these sizes,
+    m <= 6 at sigma = 1.25, where m = 7 reached 0.87 rho)."""
+    transform, (v, x, f), out, tol, _ = _rounding_case(
+        data, sigma, 6 if sigma == 1.25 else 8)
+    assert np.max(np.abs(transform(-v, -x, f) - out)) <= tol
     assert threading.get_ident() not in spread_threads
 
 
