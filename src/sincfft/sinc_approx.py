@@ -5,10 +5,10 @@ turns ``sinc(pi N x)`` into a short exponential sum
 
     sinc(pi N x)  ~=  sum_{k=0}^{n} w_k e^{-pi i N z_k x},  x in [-1, 1],
 
-on the Chebyshev points ``z_k = cos(k pi / n)`` with positive weights
-``w_k`` summing to one.  The error decays like ``e^{-N (nu - C)}`` in the
-oversampling ``nu = n / N`` once ``nu`` exceeds the constant
-``C ~= 3.692`` (see :mod:`sincfft.bounds`).
+on the Chebyshev points ``z_k = cos(k pi / n)``, taken as one sine of an
+argument odd in ``k``, with positive weights ``w_k`` summing to one.  The
+error decays like ``e^{-N (nu - C)}`` in the oversampling ``nu = n / N``
+once ``nu`` exceeds the constant ``C ~= 3.692`` (see :mod:`sincfft.bounds`).
 
 The weights of every size ``n >= 2`` come from a single orthogonal DCT-I
 (Waldvogel, BIT 2006); the explicit cosine sum is kept as a test oracle in
@@ -33,8 +33,9 @@ def _eps_boundary(n, idx):
 class CcQuadrature:
     """Chebyshev points and Clenshaw-Curtis weights for one size ``n``.
 
-    ``points[k] = cos(k pi / n)`` for ``k = 0..n`` (descending from 1 to
-    -1, exactly antisymmetric), ``weights`` positive with unit sum.
+    ``points[k] = cos(k pi / n) = sin((n - 2k) pi / (2n))`` for ``k = 0..n``,
+    descending from 1 to -1; the sine's argument is exactly odd in ``k``, so
+    ``points[k] == -points[n - k]``.  ``weights`` positive with unit sum.
     """
 
     n: int
@@ -43,15 +44,7 @@ class CcQuadrature:
 
 
 def _chebyshev_points(n):
-    k = np.arange(n // 2 + 1)
-    half = np.cos(np.pi * k / n)
-    if n % 2 == 0:
-        half[n // 2] = 0.0
-    z = np.empty(n + 1)
-    z[:half.size] = half
-    # mirror so that z_k == -z_{n-k} holds exactly
-    z[n + 1 - half.size:] = -half[::-1]
-    return z
+    return np.sin((np.pi / (2 * n)) * (n - 2 * np.arange(n + 1)))
 
 
 def _dct_load(n):

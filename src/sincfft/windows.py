@@ -185,15 +185,15 @@ def omega_hat_eval(spec, v):
     Closed forms: ``sinc(pi v / m)^(2m) / (m B_2m(0))`` (bspline, with the
     unnormalized ``sinc(y) = sin(y)/y``) and ``pi beta I_1(z) / (z
     sinh(beta))`` (sinh), with ``z = sqrt(w)``, ``w = beta^2 - 4 pi^2 v^2``.
-    The sinh transform is entire in ``w``: it is evaluated as above for
-    ``w > 1e-3``, as a power series in ``w`` for ``|w| <= 1e-3`` and as
-    ``pi beta J_1(y) / (y sinh(beta))``, ``y = sqrt(-w)``, for ``w < -1e-3``.
+    The sinh transform is ``pi beta 0F1(; 2; w/4) / (2 sinh(beta))``, entire
+    in ``w``: it is evaluated as the Bessel-I form for ``w > 1e-3``, the band
+    of a plan, and as the ``0F1`` form elsewhere.
     """
     arr = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("window transform argument must be finite")
     if spec.kind == "bspline":
-        b0 = cardinal_bspline(2 * spec.m, 0.0)
+        b0 = float(_bspline_pieces(2 * spec.m)[-1, spec.m])  # exact B_2m(0)
         out = np.sinc(arr / spec.m) ** (2 * spec.m) / (spec.m * b0)
         return float(out) if arr.ndim == 0 else out
     b = spec.beta
@@ -212,19 +212,11 @@ def omega_hat_eval(spec, v):
     if np.all(w > 1e-3):  # the band of a plan: one closed form, no masks
         out = above(np.sqrt(w, out=w))
     else:
-        # pi*beta/sinh(beta), written without evaluating sinh
-        pref = 2.0 * np.pi * b * np.exp(-b) / one_m
         out = np.empty_like(w)
-        near = np.abs(w) <= 1e-3
-        # I1(z)/z as a power series in w = z^2, which is J1(y)/y at w = -y^2
-        wn = w[near]
-        out[near] = pref * (0.5 + wn / 16.0 + wn * wn / 384.0
-                            + wn * wn * wn / 18432.0)
         pos = w > 1e-3
         out[pos] = above(np.sqrt(w[pos]))
-        neg = w < -1e-3
-        y = np.sqrt(-w[neg])
-        out[neg] = pref * _sp.j1(y) / y
+        # pi beta/(2 sinh(beta)) 0F1(; 2; w/4), sinh not evaluated
+        out[~pos] = np.pi * b * np.exp(-b) / one_m * _sp.hyp0f1(2, w[~pos] / 4)
     out = out.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
@@ -242,7 +234,7 @@ def phi_eval(spec, t):
     # an argument of +-width, however rounded, maps to exactly +-1
     y = np.clip(arr, -2.0 * width, 2.0 * width) / width
     if spec.kind == "bspline":
-        y = cardinal_bspline(2 * m, m * y) / cardinal_bspline(2 * m, 0.0)
+        y = cardinal_bspline(2 * m, m * y) / float(_bspline_pieces(2 * m)[-1, m])
     else:
         # sinh(b s)/sinh(b) = e^{b(s-1)} (1 - e^{-2bs}) / (1 - e^{-2b}),
         # s = sqrt(1 - y^2), 0 for |y| >= 1, with b(s - 1) = -b y^2/(1 + s):

@@ -7,10 +7,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sincfft import bounds, fast_sinc, nfft, nnfft
+from sincfft import bounds, fast_sinc, nfft, nnfft, windows
 from sincfft.direct import sinc_transform_direct
 from sincfft.errors import ParameterError, PositivityError
 from sincfft.fast_sinc import SincMode, fast_sinc_transform, sinc_plan
@@ -404,6 +405,24 @@ def test_reflecting_both_node_sets_moves_the_output_by_rounding(sigma, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(sigma=st.sampled_from([1.25, 1.5, 2.0]), data=st.data())
+def test_permuting_the_sources_moves_the_output_by_rounding(sigma, data):
+    """The sum over the sources does not depend on their order; the plan of
+    the permuted sources and coefficients, which shares W, moves the output
+    by at most rho sum|c| (0.069 rho measured over 1500 plans)."""
+    m = data.draw(st.integers(2, 7 if sigma == 1.25 else 8), "m")
+    plan, rng, a, b = _invariant_plan(
+        data, sigma, m, [SincMode.GENERAL, SincMode.EQUISPACED_TARGETS])
+    c = rng.standard_normal(plan.L1) + 1j * rng.standard_normal(plan.L1)
+    p = rng.permutation(plan.L1)
+    moved = sinc_plan(plan.N, a[p], b, m1=m, m2=m, sigma1=sigma, sigma2=sigma,
+                      window1=plan.window1, window2=plan.window2)
+    assert moved.mode is plan.mode and moved._W is plan._W
+    shift = fast_sinc_transform(moved, c[p]) - fast_sinc_transform(plan, c)
+    assert np.max(np.abs(shift)) <= _rho(plan) * np.sum(np.abs(c))
+
+
+@settings(max_examples=60, deadline=None)
 @given(sigma=st.sampled_from([1.25, 1.5, 2.0]), m=st.integers(2, 8),
        data=st.data())
 def test_w_is_centro_symmetric(sigma, m, data):
@@ -502,6 +521,27 @@ def test_each_stage_window_is_made_once(mode, live, made, monkeypatch):
                         lambda spec: post_init(spec) or specs.append(spec))
     plan = sinc_plan(N, *_layout(mode, rng, N, 40, 56))
     assert plan.mode is mode and len(specs) == made
+
+
+@pytest.mark.parametrize("sigma", [1.25, 1.5, 2.0])
+@pytest.mark.parametrize("window", ["sinh", "bspline"])
+def test_no_cold_plan_evaluates_the_bspline_or_0f1(window, sigma, monkeypatch):
+    # B_2m(0) is the centre entry of the exact piece table, and every
+    # argument a plan passes to the sinh transform lies on its band
+    def called(*args):
+        raise AssertionError("a plan called a function it has no use for")
+    monkeypatch.setattr(windows, "cardinal_bspline", called)
+    monkeypatch.setattr(scipy.special, "hyp0f1", called)
+    windows._bspline_pieces.cache_clear()
+    windows._row_coefficients.cache_clear()
+    rng = np.random.default_rng(29)
+    N, kw = 96, dict(window1=window, window2=window, sigma1=sigma, sigma2=sigma)
+    nfft_plan(N, _random_nodes(rng, 50), sigma=sigma, m=5, window=window)
+    nnfft_plan(N, rng.uniform(-0.4, 0.4, 60), _random_nodes(rng, 70),
+               m1=5, m2=5, **kw)
+    for mode in SincMode:  # no plan lives on to share its tables
+        assert sinc_plan(N, *_layout(mode, rng, N, 40, 56), m1=5, m2=5,
+                         **kw).mode is mode
 
 
 @pytest.mark.parametrize("window", ["sinh", "bspline"])

@@ -75,7 +75,7 @@ def test_omega_hat_matches_quadrature(kind):
 
 
 def test_sinh_hat_branch_continuity():
-    """The series / Bessel-I / Bessel-J branches join smoothly at w = 0."""
+    """The Bessel-I / 0F1 branches join smoothly at w = 0."""
     spec = SPECS["sinh"]
     v0 = spec.beta / (2.0 * np.pi)  # w = beta^2 - 4 pi^2 v^2 vanishes here
     v = v0 + np.linspace(-1e-4, 1e-4, 9)
@@ -83,6 +83,25 @@ def test_sinh_hat_branch_continuity():
     assert np.all(np.isfinite(hat))
     # second differences stay tiny across the seam
     assert np.max(np.abs(np.diff(hat, 2))) < 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 6, 8, 16, 40])
+def test_sinh_hat_off_the_band_against_mpmath(m):
+    """From v0 - 1e-2 to v0 + 1e5, v0 = beta/(2 pi), where w = beta^2 -
+    4 pi^2 v^2 changes sign: pi beta 0F1(; 2; w/4)/(2 sinh(beta)) to 1e-15
+    of max|omega_hat| = omega_hat(0), in one call mixing both branches."""
+    for sigma in (1.25, 2.0):
+        spec = WindowSpec("sinh", m, sigma, 2 * m)
+        v0 = spec.beta / (2.0 * np.pi)
+        v = v0 + np.concatenate((np.linspace(-1e-2, 0.0, 6),
+                                 np.geomspace(1e-9, 1e5, 40)))
+        with mpmath.workdps(50):
+            b, pi = mpmath.mpf(spec.beta), mpmath.pi
+            ref = [float(pi * b * mpmath.hyp0f1(2, (b * b - 4 * pi * pi
+                                                    * mpmath.mpf(vi) ** 2) / 4)
+                         / (2 * mpmath.sinh(b))) for vi in v]
+        err = np.max(np.abs(omega_hat_eval(spec, v) - ref))
+        assert err <= 1e-15 * omega_hat_eval(spec, 0.0)
 
 
 def test_sinh_hat_against_quadrature_wide_range():
